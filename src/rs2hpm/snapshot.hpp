@@ -24,7 +24,9 @@ struct ModeTotals {
   CounterTotals user{};
   CounterTotals system{};
 
-  ModeTotals& operator+=(const ModeTotals& o);
+  /// Per-counter wrap-add.  Order-independent, so per-shard partial sums
+  /// inside the parallel region give the same totals for any sharding.
+  P2SIM_PAR_SAFE ModeTotals& operator+=(const ModeTotals& o);
   friend ModeTotals operator+(ModeTotals a, const ModeTotals& b) {
     a += b;
     return a;

@@ -74,19 +74,6 @@ cluster::ActivityProfile WorkloadDriver::activity_for(
 /// per worker, statically sharded), the measurement plan slots, and the
 /// immutable inputs.
 struct WorkloadDriver::CampaignState {
-  /// One interval's fleet-wide probe results, tree-merged from the lanes'
-  /// samples by the fold phase and consumed by the collect post-pass.
-  struct MergedInterval {
-    rs2hpm::ModeTotals delta;
-    std::uint64_t quad_surplus = 0;
-    int sampled = 0;
-    int reprimed = 0;
-    int newly_primed = 0;
-    int down = 0;
-    int lost = 0;
-    double busy_s = 0.0;
-  };
-
   explicit CampaignState(const DriverConfig& cfg)
       : interval_s(static_cast<double>(util::kIntervalSeconds)),
         total_intervals(cfg.days * util::kIntervalsPerDay),
@@ -232,8 +219,13 @@ struct WorkloadDriver::CampaignState {
   std::int64_t horizon_first = 0;
   /// miss[k] != 0 marks horizon offset k as a whole-interval cron miss.
   std::vector<std::uint8_t> miss;
-  /// Fleet-wide merge of the lanes' probe samples, one per horizon offset.
-  std::vector<MergedInterval> merged;
+  /// The lanes' probe tallies, one block of `horizon` per pool shard:
+  /// shard w writes [w * horizon, (w + 1) * horizon) in the lane-pipeline
+  /// phase, and the fold adds every block into block 0, which the collect
+  /// post-pass then reads per horizon offset.
+  std::vector<IntervalTally> tallies;
+  /// Fleet busy seconds per horizon offset, tree-folded over the lanes.
+  std::vector<double> busy_s;
   // --- per-interval scratch (collect/observe post-pass) ------------------
   double busy_node_seconds = 0.0;
   std::size_t records_before = 0;
@@ -684,17 +676,23 @@ void WorkloadDriver::phase_lane_pipeline(CampaignState& st) {
   // daemon probe against the lane-owned baseline — so the barrier cost is
   // paid once per pass, not once per interval.  The pool's static shards
   // make work placement a function of (num_nodes, threads) only; with
-  // threads == 1 this is an inline loop.
+  // threads == 1 this is an inline loop.  Each shard also sums its lanes'
+  // probe outcomes into its own block of interval tallies, so the fold
+  // adds one tally per shard, not one per lane.
   const std::int64_t t0 = st.t;
   const std::int64_t h = st.horizon;
   const double interval_s = st.interval_s;
   const std::uint8_t* miss = st.miss.data();
   std::vector<NodeLane>& lanes = st.lanes;
-  st.pool.run(lanes.size(), [&lanes, t0, h, interval_s, miss](
-                                std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      lanes[i].run_pipeline(t0, h, interval_s, miss);
-    }
+  st.tallies.assign(
+      static_cast<std::size_t>(st.pool.threads()) * static_cast<std::size_t>(h),
+      IntervalTally{});
+  IntervalTally* tallies = st.tallies.data();
+  st.pool.run(lanes.size(), [&lanes, t0, h, interval_s, miss, tallies](
+                                int shard, std::size_t begin,
+                                std::size_t end) {
+    run_lane_shard(lanes, begin, end, t0, h, interval_s, miss,
+                   tallies + static_cast<std::ptrdiff_t>(shard) * h);
   });
 }
 
@@ -704,56 +702,25 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
   // double-counting folded counters plus not-yet-reset shard residue.
   auto* tel = telemetry::current();
   telemetry::Session::FoldGuard fold_guard(tel);
-  st.merged.assign(static_cast<std::size_t>(st.horizon),
-                   CampaignState::MergedInterval{});
+  // Integer tallies: add every shard's block into block 0 (wrap-add, so
+  // any order gives the same sums).  Busy seconds are doubles, so they keep
+  // the fixed pairwise tree over lanes, whatever the thread count.
+  const std::size_t h = static_cast<std::size_t>(st.horizon);
   const std::size_t lanes_n = st.lanes.size();
-  for (std::int64_t k = 0; k < st.horizon; ++k) {
-    const std::size_t ku = static_cast<std::size_t>(k);
-    st.merged[ku] = telemetry::tree_fold(
-        lanes_n,
-        [&st, ku](std::size_t i) {
-          const LaneSample& s = st.lanes[i].samples[ku];
-          CampaignState::MergedInterval m;
-          m.busy_s = s.busy_s;
-          switch (s.outcome) {
-            case ProbeOutcome::kSampled:
-              m.delta = s.delta;
-              m.quad_surplus = s.quad_surplus;
-              m.sampled = 1;
-              break;
-            case ProbeOutcome::kReprimed:
-              m.reprimed = 1;
-              break;
-            case ProbeOutcome::kNewlyPrimed:
-              m.newly_primed = 1;
-              break;
-            case ProbeOutcome::kDown:
-              m.down = 1;
-              break;
-            case ProbeOutcome::kLost:
-              m.lost = 1;
-              break;
-            case ProbeOutcome::kMissed:
-              break;
-          }
-          return m;
-        },
-        [](CampaignState::MergedInterval a,
-           const CampaignState::MergedInterval& b) {
-          a.delta += b.delta;
-          a.quad_surplus += b.quad_surplus;
-          a.sampled += b.sampled;
-          a.reprimed += b.reprimed;
-          a.newly_primed += b.newly_primed;
-          a.down += b.down;
-          a.lost += b.lost;
-          a.busy_s += b.busy_s;
-          return a;
-        });
+  for (std::size_t w = 1; w < static_cast<std::size_t>(st.pool.threads());
+       ++w) {
+    for (std::size_t k = 0; k < h; ++k) {
+      st.tallies[k] += st.tallies[w * h + k];
+    }
+  }
+  st.busy_s.resize(h);
+  for (std::size_t k = 0; k < h; ++k) {
+    st.busy_s[k] = telemetry::tree_fold(
+        lanes_n, [&st, k](std::size_t i) { return st.lanes[i].busy_s[k]; },
+        [](double a, double b) { return a + b; });
     // Campaign busy time accumulates per interval, ascending: the running
     // sum is the same no matter where passes break.
-    st.result.total_busy_node_seconds +=
-        st.merged[ku].busy_s;
+    st.result.total_busy_node_seconds += st.busy_s[k];
   }
   // One shard merge per pass, through the same pairwise tree the scrape
   // path uses (telemetry::tree_fold_shards), folded into the registry via
@@ -823,9 +790,9 @@ void WorkloadDriver::phase_epilogues(CampaignState& st) {
 
 void WorkloadDriver::phase_collect(CampaignState& st) {
   st.records_before = st.daemon.records().size();
-  const CampaignState::MergedInterval& m =
-      st.merged[static_cast<std::size_t>(st.t - st.horizon_first)];
-  st.busy_node_seconds = m.busy_s;
+  const std::size_t k = static_cast<std::size_t>(st.t - st.horizon_first);
+  const IntervalTally& m = st.tallies[k];
+  st.busy_node_seconds = st.busy_s[k];
   st.busy_now =
       static_cast<int>(std::lround(st.busy_node_seconds / st.interval_s));
   if (st.inject.enabled()) {

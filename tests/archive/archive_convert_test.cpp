@@ -12,6 +12,7 @@
 #include "src/archive/convert.hpp"
 #include "src/archive/reader.hpp"
 #include "src/core/simulation.hpp"
+#include "tests/scratch_path.hpp"
 
 namespace p2sim::archive {
 namespace {
@@ -28,17 +29,17 @@ void spill(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-/// Scratch paths under the test temp dir, removed on destruction.
+/// Scratch paths private to the running test, removed on destruction.
 struct Scratch {
   std::string intervals, jobs, archive, intervals2, jobs2, archive2;
   Scratch() {
-    const std::string base = testing::TempDir() + "p2sim_convert_";
-    intervals = base + "i.rec";
-    jobs = base + "j.rec";
-    archive = base + "a.p2a";
-    intervals2 = base + "i2.rec";
-    jobs2 = base + "j2.rec";
-    archive2 = base + "a2.p2a";
+    using testing_support::scratch_path;
+    intervals = scratch_path("i.rec");
+    jobs = scratch_path("j.rec");
+    archive = scratch_path("a.p2a");
+    intervals2 = scratch_path("i2.rec");
+    jobs2 = scratch_path("j2.rec");
+    archive2 = scratch_path("a2.p2a");
   }
   ~Scratch() {
     for (const std::string& p :

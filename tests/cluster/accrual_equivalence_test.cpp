@@ -1,6 +1,8 @@
 // The closed-form accrual path's contract: bit-identical node state to the
 // reference slice-by-slice loop, for any signature, activity profile,
-// slice length, interval length and crash/reboot sequence.
+// slice length, interval length and crash/reboot sequence — including the
+// idle-reuse path, which replays a quiet advance's recorded result when its
+// length and carry-in bits match the previous quiet advance.
 //
 // Two nodes differing only in NodeConfig::reference_accrual receive the
 // same operation stream; after every operation the full observable state —
@@ -18,6 +20,7 @@
 
 #include "src/hpm/events.hpp"
 #include "src/power2/field_table.hpp"
+#include "src/util/ckpt.hpp"
 #include "src/util/rng.hpp"
 
 namespace p2sim::cluster {
@@ -193,6 +196,226 @@ TEST(AccrualEquivalence, SliceBoundaryDurations) {
     fast.advance(seconds, &sig, act);
     ref.advance(seconds, &sig, act);
     expect_identical(fast, ref, "seconds=" + std::to_string(seconds));
+  }
+}
+
+// --- idle reuse ------------------------------------------------------------
+//
+// An idle node's residuals reach a fixed point after one 15-minute advance,
+// so from the second consecutive idle interval on the fast path replays its
+// memo instead of the slice loop.  These scenarios drive the memo through
+// every way its inputs can change under it.
+
+/// A fast/reference node pair fed the same operations, checked after each.
+class Pair {
+ public:
+  explicit Pair(NodeConfig cfg) : fast_(2, with(cfg, false)),
+                                  ref_(2, with(cfg, true)) {}
+
+  void idle(double seconds, int times = 1) {
+    for (int i = 0; i < times; ++i) {
+      fast_.advance_idle(seconds);
+      ref_.advance_idle(seconds);
+      check("idle " + std::to_string(seconds));
+    }
+  }
+  void busy(double seconds, const power2::EventSignature& sig,
+            const ActivityProfile& act) {
+    fast_.advance(seconds, &sig, act);
+    ref_.advance(seconds, &sig, act);
+    check("busy " + std::to_string(seconds));
+  }
+  /// A job-free slice that still moves traffic: not quiet, never reused.
+  void idle_with_traffic(double seconds, const ActivityProfile& act) {
+    ActivityProfile a = act;
+    a.compute_fraction = 0.0;
+    a.comm_wait_fraction = 0.0;
+    a.io_wait_fraction = 0.0;
+    fast_.advance(seconds, nullptr, a);
+    ref_.advance(seconds, nullptr, a);
+    check("traffic " + std::to_string(seconds));
+  }
+  void crash_reboot() {
+    fast_.crash();
+    ref_.crash();
+    fast_.advance_idle(900.0);  // a no-op while down, on both paths
+    ref_.advance_idle(900.0);
+    fast_.reboot();
+    ref_.reboot();
+    check("crash/reboot");
+  }
+  /// Replaces the fast node by a fresh one restored from its checkpoint:
+  /// the restored node starts without a memo.
+  void restore_fast() {
+    util::CkptWriter w;
+    fast_.save_ckpt(w);
+    Node restored(2, fast_.config());
+    util::CkptReader r(w.bytes());
+    restored.restore_ckpt(r);
+    fast_ = restored;
+    check("restore");
+  }
+  /// Checkpoints both nodes; rewind() later restores them in place, so the
+  /// fast node keeps the memo of the run it is rewound out of.
+  void mark() {
+    fast_mark_ = util::CkptWriter{};
+    ref_mark_ = util::CkptWriter{};
+    fast_.save_ckpt(fast_mark_);
+    ref_.save_ckpt(ref_mark_);
+  }
+  void rewind() {
+    util::CkptReader fr(fast_mark_.bytes());
+    util::CkptReader rr(ref_mark_.bytes());
+    fast_.restore_ckpt(fr);
+    ref_.restore_ckpt(rr);
+    check("rewind");
+  }
+  void check(const std::string& what) {
+    ++ops_;
+    expect_identical(fast_, ref_, "op " + std::to_string(ops_) + " " + what);
+  }
+
+ private:
+  static NodeConfig with(NodeConfig cfg, bool reference) {
+    cfg.reference_accrual = reference;
+    return cfg;
+  }
+  Node fast_;
+  Node ref_;
+  util::CkptWriter fast_mark_;
+  util::CkptWriter ref_mark_;
+  int ops_ = 0;
+};
+
+void idle_reuse_scenarios(const NodeConfig& cfg, std::uint64_t seed) {
+  util::Xoshiro256StarStar rng(seed);
+  const power2::EventSignature sig = random_signature(rng);
+  const ActivityProfile act = random_profile(rng);
+  Pair p(cfg);
+
+  // Long idle runs from a fresh node, including a non-slice-multiple length.
+  p.idle(900.0, 5);
+  p.idle(333.3, 4);
+  p.idle(900.0, 3);
+
+  // Idle -> busy -> idle, with the busy part leaving DMA and paging
+  // residuals behind; the idle run after it must not reuse the old memo.
+  for (int round = 0; round < 4; ++round) {
+    p.busy(rng.uniform(10.0, 900.0), sig, act);
+    p.idle(900.0, 3);
+    // A job ending mid-interval: busy head, idle tail, then idle intervals.
+    const double head = rng.uniform(1.0, 899.0);
+    p.busy(head, sig, act);
+    p.idle(900.0 - head);
+    p.idle(900.0, 3);
+  }
+
+  // Traffic without a job is not quiet; the idle run after it resumes.
+  // Without paging the residuals stay put and only the DMA state moves.
+  ActivityProfile no_paging = act;
+  no_paging.page_faults_per_s = 0.0;
+  p.idle(900.0, 2);
+  p.idle_with_traffic(900.0, act);
+  p.idle(900.0, 3);
+  p.idle_with_traffic(900.0, no_paging);
+  p.idle(900.0, 3);
+  p.idle_with_traffic(0.5, no_paging);
+  p.idle(900.0, 3);
+
+  // Crash and reboot inside an idle run: the carry restarts from zero.
+  p.idle(900.0, 3);
+  p.crash_reboot();
+  p.idle(900.0, 3);
+  p.busy(450.0, sig, act);
+  p.idle(900.0, 2);
+  p.crash_reboot();
+  p.crash_reboot();
+  p.idle(900.0, 3);
+
+  // restore_ckpt in the middle of an idle run.
+  p.busy(700.0, sig, act);
+  p.idle(900.0, 2);
+  p.restore_fast();
+  p.idle(900.0, 3);
+  p.restore_fast();
+  p.busy(60.0, sig, act);
+  p.idle(900.0, 3);
+
+  // Rewind in place into an earlier idle run: the fast node still holds
+  // the memo of the later run, whose carry-in no longer matches.
+  p.busy(120.0, sig, act);
+  p.idle(900.0, 1);
+  p.mark();
+  p.idle(900.0, 2);
+  p.busy(900.0, sig, act);
+  p.idle(900.0, 3);
+  p.rewind();
+  p.idle(900.0, 3);
+
+  // Rewind to just before a memo was recorded: the next advance replays a
+  // memo whose carry-out differs from its carry-in.
+  p.busy(300.0, sig, act);
+  p.mark();
+  p.idle(900.0, 1);
+  p.rewind();
+  p.idle(900.0, 3);
+}
+
+TEST(AccrualEquivalence, IdleReuseDefaultConfig) {
+  idle_reuse_scenarios(NodeConfig{}, 0x1D1E);
+}
+
+TEST(AccrualEquivalence, IdleReuseShortSlicesAndNarrowTransfers) {
+  NodeConfig cfg;
+  cfg.max_sample_slice_s = 37.7;
+  cfg.dma.eight_word_fraction = 0.13;
+  idle_reuse_scenarios(cfg, 0x1D2E);
+}
+
+TEST(AccrualEquivalence, IdleReuseAllEightWordTransfers) {
+  NodeConfig cfg;
+  cfg.max_sample_slice_s = 13.3;
+  cfg.dma.eight_word_fraction = 1.0;
+  idle_reuse_scenarios(cfg, 0x1D3E);
+}
+
+// The fuzz mix again, with idle runs of 3-6 whole intervals interleaved so
+// the memo is hit from random carry states.
+// Noise rates whose per-slice increments are not whole counts: idle
+// residuals never settle, so the memo is reused only after a rewind.
+TEST(AccrualEquivalence, IdleReuseFractionalNoise) {
+  NodeConfig cfg;
+  cfg.os_noise_fxu_per_s = 151234.567;
+  cfg.os_noise_icu_per_s = 40321.123;
+  cfg.dma.eight_word_fraction = 0.37;
+  idle_reuse_scenarios(cfg, 0x1D5E);
+}
+
+TEST(AccrualEquivalence, IdleRunsInterleavedWithRandomOps) {
+  NodeConfig cfg;
+  cfg.max_sample_slice_s = 45.0;
+  cfg.dma.eight_word_fraction = 0.8;
+  util::Xoshiro256StarStar rng(0x1D4E);
+  const power2::EventSignature sig = random_signature(rng);
+  Pair p(cfg);
+  for (int op = 0; op < 60 && !testing::Test::HasFailure(); ++op) {
+    switch (rng.below(5)) {
+      case 0:
+        p.busy(rng.uniform(0.01, 1800.0), sig, random_profile(rng));
+        break;
+      case 1:
+        p.idle_with_traffic(rng.uniform(0.01, 1800.0), random_profile(rng));
+        break;
+      case 2:
+        p.crash_reboot();
+        break;
+      case 3:
+        p.restore_fast();
+        break;
+      default:
+        break;
+    }
+    p.idle(900.0, 3 + static_cast<int>(rng.below(4)));
   }
 }
 

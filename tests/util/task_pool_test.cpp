@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace p2sim::util {
@@ -141,6 +143,122 @@ TEST(TaskPool, CallerShardExceptionAlsoPropagates) {
                           if (b == 0) throw std::runtime_error("caller shard");
                         }),
                std::runtime_error);
+}
+
+// --- spin-then-park waiting ------------------------------------------------
+//
+// Idle waiters poll for TaskPool::kSpinIterations pause steps (tens of
+// microseconds), then park on a condition variable.  A pause far beyond the
+// budget makes every worker park; dispatches back to back keep them
+// spinning.  Either way every dispatch must run each shard exactly once.
+
+// Far longer than any spin budget on any host.
+constexpr auto kParkGap = std::chrono::milliseconds(20);
+
+void expect_one_pass(TaskPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> hit(n);
+  pool.run(n, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hit[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hit[i].load(), 1) << i;
+}
+
+TEST(TaskPool, DispatchesAfterGapsLongerThanTheSpinBudget) {
+  TaskPool pool(4);
+  for (int round = 0; round < 5; ++round) {
+    std::this_thread::sleep_for(kParkGap);  // every worker parks
+    expect_one_pass(pool, 144);
+  }
+}
+
+TEST(TaskPool, BackToBackDispatchesWhileWorkersSpin) {
+  TaskPool pool(4);
+  std::vector<long> sum(144, 0);
+  for (int round = 0; round < 5000; ++round) {
+    pool.run(sum.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) sum[i] += 1;
+    });
+  }
+  for (long v : sum) EXPECT_EQ(v, 5000);
+}
+
+TEST(TaskPool, MixedSpinningAndParkedDispatches) {
+  TaskPool pool(3);
+  for (int round = 0; round < 40; ++round) {
+    if (round % 8 == 0) std::this_thread::sleep_for(kParkGap);
+    expect_one_pass(pool, 1 + static_cast<std::size_t>(round) * 7);
+  }
+}
+
+// The caller finishes shard 0 at once and outlasts its own spin budget
+// waiting for a slow worker shard, so it parks on the completion signal.
+TEST(TaskPool, CallerParksUntilASlowShardFinishes) {
+  TaskPool pool(4);
+  std::atomic<int> done{0};
+  pool.run(4, [&](std::size_t b, std::size_t) {
+    if (b == 3) std::this_thread::sleep_for(kParkGap);
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), 4);
+}
+
+TEST(TaskPool, ShardIndexFollowsTheStaticShardMap) {
+  for (int threads : {1, 2, 3, 4, 8}) {
+    TaskPool pool(threads);
+    for (std::size_t n : {3UL, 144UL}) {
+      std::vector<ShardRange> seen(static_cast<std::size_t>(threads));
+      std::vector<std::atomic<int>> calls(static_cast<std::size_t>(threads));
+      pool.run(n, [&](int shard, std::size_t b, std::size_t e) {
+        const auto w = static_cast<std::size_t>(shard);
+        seen[w] = {b, e};
+        calls[w].fetch_add(1);
+      });
+      for (int w = 0; w < threads; ++w) {
+        const auto wu = static_cast<std::size_t>(w);
+        const ShardRange want = shard_range(n, w, threads);
+        // Empty shards are never invoked.
+        EXPECT_EQ(calls[wu].load(), want.empty() ? 0 : 1)
+            << "threads=" << threads << " n=" << n << " w=" << w;
+        if (!want.empty()) {
+          EXPECT_EQ(seen[wu].begin, want.begin);
+          EXPECT_EQ(seen[wu].end, want.end);
+        }
+      }
+    }
+  }
+}
+
+TEST(TaskPool, ShardThrowingAfterWorkersParkedPropagates) {
+  TaskPool pool(4);
+  expect_one_pass(pool, 100);
+  std::this_thread::sleep_for(kParkGap);
+  EXPECT_THROW(pool.run(100,
+                        [](std::size_t b, std::size_t) {
+                          if (b >= 50) throw std::runtime_error("parked");
+                        }),
+               std::runtime_error);
+  std::this_thread::sleep_for(kParkGap);
+  expect_one_pass(pool, 100);  // still usable, parked or not
+  expect_one_pass(pool, 100);
+}
+
+TEST(TaskPool, DestructionWhileWorkersSpin) {
+  for (int round = 0; round < 50; ++round) {
+    TaskPool pool(4);
+    expect_one_pass(pool, 16);
+  }  // destroyed straight after a dispatch, inside the spin budget
+}
+
+TEST(TaskPool, DestructionWhileWorkersParked) {
+  for (int round = 0; round < 3; ++round) {
+    TaskPool pool(4);
+    expect_one_pass(pool, 16);
+    std::this_thread::sleep_for(kParkGap);
+  }
+  {
+    TaskPool never_used(4);
+    std::this_thread::sleep_for(kParkGap);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "src/power2/signature_store.hpp"
 #include "src/util/ckpt.hpp"
 #include "src/workload/checkpoint.hpp"
+#include "tests/scratch_path.hpp"
 
 namespace p2sim {
 namespace {
@@ -171,7 +172,7 @@ power2::KernelDesc fuzz_kernel(const char* name, int bytes) {
 
 std::string store_text() {
   static const std::string text = [] {
-    const std::string path = testing::TempDir() + "p2sim_fuzz_store.txt";
+    const std::string path = testing_support::scratch_path("store.txt");
     std::remove(path.c_str());
     power2::SignatureCache cache({}, {.path = path});
     (void)cache.get(fuzz_kernel("fuzz_a", 1 << 16));
@@ -191,7 +192,7 @@ std::string store_text() {
 /// the report does not account for — and never a bare prefix of an
 /// uncommitted v2 store.
 void expect_all_or_nothing(const std::string& text, const char* label) {
-  const std::string path = testing::TempDir() + "p2sim_fuzz_store_mut.txt";
+  const std::string path = testing_support::scratch_path("store_mut.txt");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
