@@ -35,6 +35,8 @@ struct JobSpec {
   std::int64_t profile_id = 0;
   JobKind kind = JobKind::kBatch;
 
+  bool operator==(const JobSpec&) const = default;
+
   /// Checkpoint support.
   void save_ckpt(util::CkptWriter& w) const {
     w.put_i64(job_id);

@@ -1,9 +1,10 @@
 #include "src/power2/signature.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <set>
+#include <stdexcept>
+#include <utility>
 
-#include "src/check/check.hpp"
 #include "src/power2/field_table.hpp"
 #include "src/power2/signature_store.hpp"
 
@@ -69,167 +70,71 @@ SignatureCache::SignatureCache(const CoreConfig& core_cfg,
       core_hash_(core_config_hash(core_cfg)),
       store_(std::move(store)) {
   if (store_.path.empty() || !store_.read) return;
-  std::lock_guard<std::mutex> lock(mu_);
   const SignatureStoreReport rep =
-      load_signature_store(store_.path, core_hash_, by_hash_);
+      load_signature_store(store_.path, core_hash_, table_);
   stats_.store_loaded = rep.loaded;
   stats_.store_corrupt_lines = rep.corrupt_lines;
   stats_.store_rejected =
       rep.file_found && (!rep.core_hash_matched || rep.truncated);
-  publish_snapshot_locked();
 }
 
-const EventSignature& SignatureCache::get(const KernelDesc& kernel) {
-  const std::uint64_t h = kernel.content_hash();
-  // Level 1: the immutable snapshot, no lock.  After warm() this is the
-  // only path the campaign's serial scheduling phase takes for known
-  // kernels, and the only path at all that is safe to call concurrently.
-  const auto it = std::lower_bound(
-      snapshot_.begin(), snapshot_.end(), h,
-      [](const SnapshotEntry& e, std::uint64_t key) { return e.first < key; });
-  if (it != snapshot_.end() && it->first == h) {
-    snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *it->second;
+void SignatureCache::warm(const std::vector<KernelDesc>& kernels,
+                          const BatchMeasure& measure) {
+  std::vector<KernelDesc> missing;
+  std::vector<std::uint64_t> hashes;
+  std::set<std::uint64_t> seen;
+  for (const KernelDesc& k : kernels) {
+    const std::uint64_t h = k.content_hash();
+    if (table_.contains(h) || !seen.insert(h).second) continue;
+    hashes.push_back(h);
+    missing.push_back(k);
   }
-  // Level 2: the overflow map, for kernels first seen after warm-up.
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto mit = by_hash_.find(h);
-  if (mit != by_hash_.end()) {
-    ++stats_.locked_hits;
-    return mit->second;
+  if (missing.empty()) return;
+  std::vector<QuietMeasurement> results(missing.size());
+  if (measure) {
+    measure(missing, results);
+  } else {
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      results[i] = measure_quiet(core_cfg_, missing[i]);
+    }
   }
-  return measure_locked(h, kernel);
-}
-
-const EventSignature& SignatureCache::measure_locked(
-    std::uint64_t hash, const KernelDesc& kernel) {
-  const QuietMeasurement m = measure_quiet(core_cfg_, kernel);
-  Power2Core::note_kernel_run(m.run, m.wall_us);
-  ++stats_.measured;
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    table_.emplace(hashes[i], results[i].sig);
+    unused_runs_.emplace(hashes[i], std::move(results[i]));
+  }
+  stats_.measured += missing.size();
   dirty_ = true;
-  return by_hash_.emplace(hash, m.sig).first->second;
 }
 
-void SignatureCache::warm(const std::vector<KernelDesc>& kernels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const KernelDesc& k : kernels) {
-    const std::uint64_t h = k.content_hash();
-    if (by_hash_.find(h) == by_hash_.end()) measure_locked(h, k);
+const EventSignature& SignatureCache::get(const KernelDesc& kernel) const {
+  const auto it = table_.find(kernel.content_hash());
+  if (it == table_.end()) {
+    throw std::out_of_range("SignatureCache::get: kernel '" + kernel.name +
+                            "' was never warmed");
   }
-  publish_snapshot_locked();
+  return it->second;
 }
 
-void SignatureCache::publish_snapshot_locked() {
-  snapshot_.clear();
-  snapshot_.reserve(by_hash_.size());
-  for (const auto& [hash, sig] : by_hash_) snapshot_.emplace_back(hash, &sig);
-  // std::map iterates in key order, so the snapshot is already sorted for
-  // the binary search in get().
+void SignatureCache::note_first_use(const KernelDesc& kernel) {
+  if (unused_runs_.empty()) return;  // skips the hash when all are noted
+  const auto it = unused_runs_.find(kernel.content_hash());
+  if (it == unused_runs_.end()) return;
+  Power2Core::note_kernel_run(it->second.run, it->second.wall_us);
+  first_uses_.push_back(it->first);
+  unused_runs_.erase(it);
 }
 
-bool SignatureCache::contains(const KernelDesc& kernel) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_hash_.find(kernel.content_hash()) != by_hash_.end();
-}
-
-std::vector<KernelDesc> SignatureCache::plan_batch(
-    const std::vector<KernelDesc>& kernels) const {
-  std::vector<KernelDesc> plan;
-  std::vector<std::uint64_t> planned;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const KernelDesc& k : kernels) {
-    const std::uint64_t h = k.content_hash();
-    // by_hash_ backs both cache levels, so one lookup covers them.
-    if (by_hash_.find(h) != by_hash_.end()) continue;
-    if (std::find(planned.begin(), planned.end(), h) != planned.end()) {
-      continue;
-    }
-    planned.push_back(h);
-    plan.push_back(k);
-  }
-  return plan;
-}
-
-void SignatureCache::adopt_batch(const std::vector<KernelDesc>& plan,
-                                 const std::vector<QuietMeasurement>& results) {
-  P2SIM_CHECK(plan.size() == results.size(),
-              "adopt_batch: one result per planned kernel");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (by_hash_.emplace(plan[i].content_hash(), results[i].sig).second) {
-        ++stats_.measured;
-        dirty_ = true;
-      }
-    }
-  }
-  // Replay the deferred kernel-run telemetry serially in plan order —
-  // first-appearance order, exactly where the on-demand path would have
-  // emitted each span on the engine timeline.
-  for (const QuietMeasurement& m : results) {
-    Power2Core::note_kernel_run(m.run, m.wall_us);
-  }
+void SignatureCache::restore_first_uses(
+    const std::vector<std::uint64_t>& hashes) {
+  for (std::uint64_t h : hashes) unused_runs_.erase(h);
+  first_uses_ = hashes;
 }
 
 bool SignatureCache::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (store_.path.empty() || !store_.write || !dirty_) return true;
-  if (!save_signature_store(store_.path, core_hash_, by_hash_)) return false;
+  if (!save_signature_store(store_.path, core_hash_, table_)) return false;
   dirty_ = false;
   return true;
-}
-
-std::size_t SignatureCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_hash_.size();
-}
-
-SignatureCache::Stats SignatureCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.snapshot_hits = snapshot_hits_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void EventSignature::save_ckpt(util::CkptWriter& w) const {
-  w.put_f64(cycles_per_iter);
-  for (const ScaledField& f : kScaledFields) w.put_f64(this->*(f.rate));
-}
-
-void EventSignature::restore_ckpt(util::CkptReader& r) {
-  cycles_per_iter = r.read_f64("signature.cycles_per_iter");
-  for (const ScaledField& f : kScaledFields) {
-    this->*(f.rate) = r.read_f64("signature.rate");
-  }
-}
-
-void SignatureCache::save_ckpt(util::CkptWriter& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  w.put_u64(core_hash_);
-  w.put_u64(by_hash_.size());
-  for (const auto& [hash, sig] : by_hash_) {
-    w.put_u64(hash);
-    sig.save_ckpt(w);
-  }
-  w.put_bool(dirty_);
-}
-
-void SignatureCache::restore_ckpt(util::CkptReader& r) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t hash = r.read_u64("sigcache.core_hash");
-  if (hash != core_hash_) {
-    throw util::CkptError("sigcache.core_hash: core config mismatch");
-  }
-  by_hash_.clear();
-  std::uint64_t n = r.read_u64("sigcache.size");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t h = r.read_u64("sigcache.hash");
-    EventSignature s;
-    s.restore_ckpt(r);
-    by_hash_.emplace(h, s);
-  }
-  dirty_ = r.read_bool("sigcache.dirty");
-  publish_snapshot_locked();
 }
 
 }  // namespace p2sim::power2

@@ -8,19 +8,16 @@
 // quantization the real RS2HPM daemon imposed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/check/annotate.hpp"
 #include "src/power2/core.hpp"
 #include "src/power2/event_counts.hpp"
 #include "src/power2/kernel_desc.hpp"
-#include "src/util/ckpt.hpp"
 
 namespace p2sim::power2 {
 
@@ -67,10 +64,6 @@ struct EventSignature {
   P2SIM_PAR_SAFE void scale_into(double cycles, EventCounts& ev) const;
 
   bool operator==(const EventSignature&) const = default;
-
-  /// Checkpoint support (field-table driven, like the store I/O).
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
 };
 
 /// Derives a signature by running the kernel on a core.
@@ -103,102 +96,80 @@ struct SignatureStoreConfig {
   bool write = true;  ///< persist newly measured signatures on flush()
 };
 
-/// Memoizes signatures by (kernel content hash, core config).  The
-/// nine-month run touches a few dozen kernel variants thousands of times;
-/// each is simulated once — or zero times when the persistent store
-/// already has it.
+/// Signatures by (kernel content hash, core config): one sorted table,
+/// filled during setup and immutable after it.  warm() measures each
+/// kernel the persistent store lacks exactly once; every later get() is a
+/// lookup, and a get() for a kernel that was never warmed is a caller bug
+/// that throws.  Entries are pointer-stable for the cache's lifetime, so
+/// callers may hold `const EventSignature*` across intervals.
 ///
-/// Two-level design.  Level 1 is an immutable sorted snapshot, readable
-/// lock-free; it is (re)published only by the constructor's store load and
-/// by `warm()`, both setup-phase operations that must not race concurrent
-/// `get()` calls.  Level 2 is the mutex-guarded overflow map for kernels
-/// first seen after warm-up.  Entries are pointer-stable for the cache's
-/// lifetime in both levels, so callers may hold `const EventSignature*`
-/// across intervals.
+/// Measurement emits no telemetry.  Each measured kernel's Level A run is
+/// kept instead and replayed by note_first_use() the first time the kernel
+/// is used, so the kernel-run spans land on the engine timeline in use
+/// order however the batch was scheduled.  Store hits never emit.
 class SignatureCache {
  public:
+  /// Fills out[i] with measure_quiet(core_config(), kernels[i]) for every
+  /// i, in any order and on any threads; warm() passes it the kernels the
+  /// table lacks.
+  using BatchMeasure = std::function<void(
+      const std::vector<KernelDesc>& kernels,
+      std::vector<QuietMeasurement>& out)>;
+
   explicit SignatureCache(const CoreConfig& core_cfg = {},
                           SignatureStoreConfig store = {});
 
-  /// Returns the signature, measuring it on first use.
-  P2SIM_SERIAL_ONLY const EventSignature& get(const KernelDesc& kernel);
+  /// Measures every kernel in `kernels` the table lacks (deduplicated by
+  /// content hash) through `measure`, or serially when it is empty, and
+  /// adds the results.  Setup only: not safe concurrently with get().
+  P2SIM_SERIAL_ONLY void warm(const std::vector<KernelDesc>& kernels,
+                              const BatchMeasure& measure = {});
 
-  /// Pre-measures every kernel in `kernels` (skipping known ones) and
-  /// publishes the whole cache — store hits included — as the lock-free
-  /// snapshot.  Call once during driver setup, before worker threads run;
-  /// not safe concurrently with get().
-  P2SIM_SERIAL_ONLY void warm(const std::vector<KernelDesc>& kernels);
+  /// The warmed signature; throws std::out_of_range for any other kernel.
+  const EventSignature& get(const KernelDesc& kernel) const;
+
+  /// Replays the kernel-run telemetry of a kernel warm() measured, the
+  /// first time it is called for that kernel; a no-op for store hits and
+  /// for every later call.
+  P2SIM_SERIAL_ONLY void note_first_use(const KernelDesc& kernel);
+
+  /// Hashes of the measured kernels whose first use has been noted, in
+  /// noting order (the checkpoint payload).
+  const std::vector<std::uint64_t>& first_uses() const { return first_uses_; }
+  /// Resume: treats these kernels' first use as already noted.
+  P2SIM_SERIAL_ONLY void restore_first_uses(
+      const std::vector<std::uint64_t>& hashes);
 
   /// Writes newly measured signatures back to the persistent store.
   /// Returns false when a configured write fails; true otherwise
-  /// (including when persistence is disabled or nothing is dirty).
+  /// (including when persistence is disabled or nothing is new).
   P2SIM_SERIAL_ONLY bool flush();
 
-  /// True when the kernel's signature is already cached (either level).
-  bool contains(const KernelDesc& kernel) const;
-
-  /// The core configuration measurements run under; workers pass it to
-  /// measure_quiet so batch and on-demand measurement are interchangeable.
   const CoreConfig& core_config() const { return core_cfg_; }
+  std::size_t size() const { return table_.size(); }
 
-  /// Batched measurement, step 1 (serial): the sublist of `kernels` that
-  /// still needs measuring — unknown to the cache, deduplicated by content
-  /// hash, in first-appearance order.  The caller measures the plan's
-  /// entries with measure_quiet (typically in parallel) and hands the
-  /// results to adopt_batch.
-  P2SIM_SERIAL_ONLY std::vector<KernelDesc> plan_batch(
-      const std::vector<KernelDesc>& kernels) const;
-
-  /// Batched measurement, step 2 (serial): adopts results[i] as the
-  /// signature of plan[i] and replays the deferred kernel-run telemetry in
-  /// plan order — the same order the on-demand path would have emitted it,
-  /// so exports stay byte-identical.
-  P2SIM_SERIAL_ONLY void adopt_batch(
-      const std::vector<KernelDesc>& plan,
-      const std::vector<QuietMeasurement>& results);
-
-  std::size_t size() const;
-
-  /// Observability for tests and benches (values are point-in-time).
+  /// Observability for tests and benches.
   struct Stats {
-    std::uint64_t snapshot_hits = 0;  ///< lock-free level-1 hits
-    std::uint64_t locked_hits = 0;    ///< level-2 map hits under the mutex
     std::uint64_t measured = 0;       ///< cold measurements actually run
     std::uint64_t store_loaded = 0;   ///< entries adopted from disk
     std::uint64_t store_corrupt_lines = 0;  ///< checksum/parse rejects
     bool store_rejected = false;  ///< whole store dropped (core-hash mismatch)
   };
-  Stats stats() const;
-
-  /// Checkpoint support: the measured/loaded signature set and the dirty
-  /// flag round-trip; restore republishes the lock-free snapshot.  The
-  /// restored cache then serves mid-campaign lookups exactly as the
-  /// original process would have (re-measurements are deterministic, so a
-  /// kernel first seen after the checkpoint re-measures identically).
-  P2SIM_SERIAL_ONLY void save_ckpt(util::CkptWriter& w) const;
-  P2SIM_SERIAL_ONLY void restore_ckpt(util::CkptReader& r);
+  const Stats& stats() const { return stats_; }
 
  private:
-  using SnapshotEntry = std::pair<std::uint64_t, const EventSignature*>;
-
-  P2SIM_SERIAL_ONLY const EventSignature& measure_locked(
-      std::uint64_t hash, const KernelDesc& kernel);
-  P2SIM_SERIAL_ONLY void publish_snapshot_locked();
-
   CoreConfig core_cfg_;
   std::uint64_t core_hash_ = 0;
   SignatureStoreConfig store_;
 
-  /// Level 1: sorted by hash, binary-searched without taking mu_.
-  std::vector<SnapshotEntry> snapshot_;
-  mutable std::atomic<std::uint64_t> snapshot_hits_{0};
-
-  /// Level 2 (and backing storage for level 1 — std::map nodes are
-  /// pointer-stable under insertion).
-  mutable std::mutex mu_;
-  std::map<std::uint64_t, EventSignature> by_hash_ P2SIM_GUARDED_BY(mu_);
-  bool dirty_ P2SIM_GUARDED_BY(mu_) = false;
-  Stats stats_ P2SIM_GUARDED_BY(mu_){};
+  /// The table, keyed and sorted by kernel content hash (std::map nodes
+  /// are pointer-stable under insertion).
+  std::map<std::uint64_t, EventSignature> table_;
+  /// Measured kernels whose first use has not been noted yet.
+  std::map<std::uint64_t, QuietMeasurement> unused_runs_;
+  std::vector<std::uint64_t> first_uses_;
+  bool dirty_ = false;
+  Stats stats_{};
 };
 
 }  // namespace p2sim::power2

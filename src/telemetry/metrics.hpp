@@ -16,9 +16,8 @@
 //     per-histogram seqlock: rare concurrent writers serialize on an odd
 //     sequence, readers retry on a torn window.  Readers never block
 //     writers and vice versa.
-//   - The registry itself uses the two-level publication pattern from the
-//     SignatureCache: registration (rare, mutex-guarded) republishes an
-//     immutable snapshot list; scrapes walk the published list with one
+//   - The registry itself uses two-level publication: registration (rare,
+//     mutex-guarded) republishes an immutable snapshot list; scrapes walk the published list with one
 //     acquire load and never touch the map or the mutex.  Retired lists
 //     stay alive until the Registry dies, so a reader mid-walk is always
 //     safe.  (Exception: restore_ckpt rebuilds the map in place and is a

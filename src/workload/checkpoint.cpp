@@ -20,7 +20,7 @@ namespace {
 
 /// Container magic: version bumps rename the last byte, so an old binary
 /// rejects a new checkpoint with "bad magic" instead of misparsing it.
-constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '2'};
+constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '3'};
 constexpr std::size_t kHeaderSize = 48;
 constexpr std::size_t kHeaderChecksumOffset = 40;
 

@@ -1,8 +1,9 @@
 // Crash-consistent campaign checkpoints: the durable container format.
 //
-// A checkpoint file carries the complete deterministic campaign state at
-// an interval boundary, so a killed campaign resumes bit-identically to
-// the uninterrupted run (tests/workload/crash_recovery_test.cpp holds the
+// A checkpoint file carries the campaign state at an interval boundary
+// that the config alone cannot rebuild (setup rederives the arrival trace
+// and the signature table), so a killed campaign resumes bit-identically
+// to the uninterrupted run (tests/workload/crash_recovery_test.cpp holds the
 // fingerprint oracle).  This module owns the *container*: a fixed 48-byte
 // header (magic, config fingerprint, resume interval, payload size, two
 // FNV-1a/64 checksums) followed by the opaque payload the driver's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -18,6 +17,58 @@
 #include "src/util/task_pool.hpp"
 
 namespace p2sim::workload {
+
+std::vector<pbs::JobSpec> build_arrival_trace(const DriverConfig& cfg,
+                                              ProfileRegistry& registry) {
+  JobGenConfig gc = cfg.jobgen;
+  gc.seed ^= cfg.seed;
+  JobGenerator gen(gc, registry);
+  // The master stream serves arrivals alone: each day's demand-walk and
+  // slump draws, then one Poisson draw per interval of the day.
+  util::Xoshiro256StarStar rng(cfg.seed);
+  double demand_level = 1.0;
+  int slump_days_left = 0;
+  double slump_depth = 1.0;
+  const double interval_s = static_cast<double>(util::kIntervalSeconds);
+  std::vector<pbs::JobSpec> trace;
+  for (std::int64_t day = 0; day < cfg.days; ++day) {
+    demand_level = std::clamp(
+        cfg.demand_walk_rho * demand_level +
+            rng.normal(1.0 - cfg.demand_walk_rho,
+                       cfg.demand_walk_noise * (1.0 - cfg.demand_walk_rho) *
+                           4.0),
+        cfg.demand_min, cfg.demand_max);
+    if (slump_days_left > 0) {
+      --slump_days_left;
+    } else if (rng.chance(cfg.slump_prob_per_day)) {
+      slump_days_left = static_cast<int>(2 + rng.below(6));
+      slump_depth = rng.uniform(cfg.slump_depth_min, cfg.slump_depth_max);
+    }
+    const double day_factor =
+        (util::is_weekend(day) ? cfg.weekend_factor : 1.0) *
+        (slump_days_left > 0 ? slump_depth : 1.0);
+    const double lambda = cfg.jobs_per_day * day_factor * demand_level /
+                          static_cast<double>(util::kIntervalsPerDay);
+    for (std::int64_t t = day * util::kIntervalsPerDay;
+         t < (day + 1) * util::kIntervalsPerDay; ++t) {
+      for (std::uint64_t a = rng.poisson(lambda); a > 0; --a) {
+        trace.push_back(gen.next(static_cast<double>(t) * interval_s));
+      }
+    }
+  }
+  return trace;
+}
+
+namespace {
+
+/// The interval a trace entry arrives in (submit times are whole
+/// intervals, so the division is exact).
+std::int64_t arrival_interval(const pbs::JobSpec& spec) {
+  return static_cast<std::int64_t>(
+      spec.submit_time_s / static_cast<double>(util::kIntervalSeconds));
+}
+
+}  // namespace
 
 WorkloadDriver::WorkloadDriver(const DriverConfig& cfg) : cfg_(cfg) {
   if (cfg_.num_nodes <= 0) throw std::invalid_argument("num_nodes must be > 0");
@@ -71,8 +122,8 @@ cluster::ActivityProfile WorkloadDriver::activity_for(
 
 /// Every piece of campaign state, constructed once per run().  The serial
 /// phases own all of it; the parallel phases touch only `lanes` (one lane
-/// per worker, statically sharded), the measurement plan slots, and the
-/// immutable inputs.
+/// per worker, statically sharded), their own measurement result slots,
+/// and the immutable inputs.
 struct WorkloadDriver::CampaignState {
   explicit CampaignState(const DriverConfig& cfg)
       : interval_s(static_cast<double>(util::kIntervalSeconds)),
@@ -82,16 +133,11 @@ struct WorkloadDriver::CampaignState {
           sc.total_nodes = cfg.num_nodes;
           return sc;
         }()),
-        gen([&] {
-          JobGenConfig gc = cfg.jobgen;
-          gc.seed ^= cfg.seed;
-          return gc;
-        }(), registry),
+        trace(build_arrival_trace(cfg, registry)),
         signatures(cfg.core,
                    power2::SignatureStoreConfig{cfg.signature_store_path}),
         daemon(static_cast<std::size_t>(cfg.num_nodes)),
         nfs(cfg.nfs),
-        rng(cfg.seed),
         inject(cfg.faults),
         down_until(static_cast<std::size_t>(cfg.num_nodes), 0),
         node_job(static_cast<std::size_t>(cfg.num_nodes), nullptr),
@@ -119,10 +165,11 @@ struct WorkloadDriver::CampaignState {
   cluster::Node& node(int n) { return lane(n).node; }
 
   /// Serializes every accumulated campaign quantity at an interval
-  /// boundary (per-pass scratch and the worker pool are excluded: the next
-  /// pass rewrites them).  The restore side re-resolves the
-  /// profile/signature pointers and rebuilds node_job, then demands the
-  /// stream be fully consumed.
+  /// boundary.  Excluded: per-pass scratch and the worker pool (the next
+  /// pass rewrites them) and everything setup derives from the config (the
+  /// arrival trace, the profile registry, the signature table).  The
+  /// restore side re-resolves the profile/signature pointers and rebuilds
+  /// node_job, then demands the stream be fully consumed.
   void save_ckpt(util::CkptWriter& w) const;
   void restore_ckpt(util::CkptReader& r);
 
@@ -143,31 +190,16 @@ struct WorkloadDriver::CampaignState {
 
   // --- substrate instances (serial-phase property) -----------------------
   pbs::Scheduler sched;
+  /// The job stream as data: every arrival of the campaign, in interval
+  /// order, drawn at setup (build_arrival_trace) with the profiles it
+  /// references.  next_arrival is the first entry not yet submitted.
   ProfileRegistry registry;
-  JobGenerator gen;
+  std::vector<pbs::JobSpec> trace;
+  std::size_t next_arrival = 0;
   power2::SignatureCache signatures;
   rs2hpm::SamplingDaemon daemon;
   rs2hpm::JobMonitor jobmon;
   cluster::NfsModel nfs;
-
-  /// Master RNG stream: owned by the serial arrivals/horizon phases
-  /// (demand walk, slumps, Poisson arrivals).  Never consulted per node —
-  /// per-node draws belong to the lanes' private streams.
-  util::Xoshiro256StarStar rng;
-  double demand_level = 1.0;
-  int slump_days_left = 0;
-  double slump_depth = 1.0;
-
-  /// Arrival frontier: Poisson counts the horizon scan pre-drew from the
-  /// master stream, in interval order, that the arrivals phase has not yet
-  /// consumed.  pending_arrivals[i] is the count for interval
-  /// pending_base + i; intervals below arrivals_drawn_until have had their
-  /// draw taken from the stream.  The frontier keeps the master stream's
-  /// draw sequence exactly one-per-interval in ascending order no matter
-  /// how intervals batch into passes, and it checkpoints with the stream.
-  std::deque<std::uint64_t> pending_arrivals;
-  std::int64_t pending_base = 0;
-  std::int64_t arrivals_drawn_until = 0;
 
   fault::FaultInjector inject;
   /// Interval at which each crashed node reboots (node is down while
@@ -209,11 +241,9 @@ struct WorkloadDriver::CampaignState {
   double now = 0.0;
   std::int64_t day = 0;
   double grant = 0.0;
-  /// Start events of this pass, produced by scheduling and consumed (with
-  /// their measurement plan) by the measure and launch phases.
+  /// Start events of this pass, produced by scheduling and consumed by
+  /// the launch phase.
   std::vector<pbs::StartEvent> starts;
-  std::vector<power2::KernelDesc> measure_plan;
-  std::vector<power2::QuietMeasurement> measure_results;
   /// This pass's extent: intervals [horizon_first, horizon_first + horizon).
   std::int64_t horizon = 1;
   std::int64_t horizon_first = 0;
@@ -234,16 +264,6 @@ struct WorkloadDriver::CampaignState {
 
 void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
   w.put_i64(t);
-  rng.save_ckpt(w);
-  w.put_f64(demand_level);
-  w.put_i32(slump_days_left);
-  w.put_f64(slump_depth);
-  // The arrival frontier travels with the master stream: draws the horizon
-  // scan already took must not be redrawn after a resume.
-  w.put_u64(pending_arrivals.size());
-  for (std::uint64_t c : pending_arrivals) w.put_u64(c);
-  w.put_i64(pending_base);
-  w.put_i64(arrivals_drawn_until);
   w.put_i64(jobs_dispatched);
   w.put_i64(jobs_completed);
   w.put_i64(jobs_requeued);
@@ -254,9 +274,10 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
     w.put_i32(attempt);
   }
   sched.save_ckpt(w);
-  registry.save_ckpt(w);
-  gen.save_ckpt(w);
-  signatures.save_ckpt(w);
+  // Which measured kernels have had their first-use telemetry: the only
+  // signature-table state a resume cannot rebuild from the config.
+  w.put_u64(signatures.first_uses().size());
+  for (std::uint64_t h : signatures.first_uses()) w.put_u64(h);
   daemon.save_ckpt(w);
   jobmon.save_ckpt(w);
   nfs.save_ckpt(w);
@@ -300,17 +321,6 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
 
 void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   t = r.read_i64("campaign.t");
-  rng.restore_ckpt(r);
-  demand_level = r.read_f64("campaign.demand_level");
-  slump_days_left = r.read_i32("campaign.slump_days_left");
-  slump_depth = r.read_f64("campaign.slump_depth");
-  pending_arrivals.clear();
-  const std::uint64_t num_pending = r.read_u64("campaign.pending_arrivals");
-  for (std::uint64_t i = 0; i < num_pending; ++i) {
-    pending_arrivals.push_back(r.read_u64("campaign.pending_arrival"));
-  }
-  pending_base = r.read_i64("campaign.pending_base");
-  arrivals_drawn_until = r.read_i64("campaign.arrivals_drawn_until");
   jobs_dispatched = r.read_i64("campaign.jobs_dispatched");
   jobs_completed = r.read_i64("campaign.jobs_completed");
   jobs_requeued = r.read_i64("campaign.jobs_requeued");
@@ -324,9 +334,10 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
     attempts[id] = r.read_i32("campaign.attempt_count");
   }
   sched.restore_ckpt(r);
-  registry.restore_ckpt(r);
-  gen.restore_ckpt(r);
-  signatures.restore_ckpt(r);
+  std::vector<std::uint64_t> first_uses(
+      static_cast<std::size_t>(r.read_u64("campaign.first_uses")));
+  for (std::uint64_t& h : first_uses) h = r.read_u64("campaign.first_use");
+  signatures.restore_first_uses(first_uses);
   daemon.restore_ckpt(r);
   jobmon.restore_ckpt(r);
   nfs.restore_ckpt(r);
@@ -357,9 +368,9 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
     rj.attempt = r.read_i32("campaign.job_attempt");
     running.emplace(rj.spec.job_id, std::move(rj));
   }
-  // Pointer re-resolution: profiles and signatures live in the restored
-  // registry/cache, so the map lookups reproduce the original pointers'
-  // referents exactly.
+  // Pointer re-resolution: setup rebuilt the registry and the signature
+  // table from the config, so the lookups reproduce the original
+  // pointers' referents exactly.
   for (auto& [id, rj] : running) {
     rj.profile = &registry.get(rj.spec.profile_id);
     rj.sig = &signatures.get(rj.profile->kernel);
@@ -382,14 +393,6 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   day_span = telemetry::Span::adopt_ckpt(
       tel != nullptr ? &tel->tracer : nullptr, r);
   r.expect_end("campaign");
-}
-
-double WorkloadDriver::arrival_lambda(const CampaignState& st) const {
-  const double day_factor =
-      (util::is_weekend(st.day) ? cfg_.weekend_factor : 1.0) *
-      (st.slump_days_left > 0 ? st.slump_depth : 1.0);
-  return cfg_.jobs_per_day * day_factor * st.demand_level /
-         static_cast<double>(util::kIntervalsPerDay);
 }
 
 void WorkloadDriver::phase_day_rollover(CampaignState& st) {
@@ -449,86 +452,52 @@ void WorkloadDriver::phase_faults(CampaignState& st) {
 }
 
 void WorkloadDriver::phase_arrivals(CampaignState& st) {
-  // Intervals a previous pass advanced through had zero arrivals by
-  // construction (a nonzero pre-drawn count ends the horizon before it);
-  // retire their frontier entries.
-  while (st.pending_base < st.t && !st.pending_arrivals.empty()) {
-    P2SIM_CHECK(st.pending_arrivals.front() == 0,
-                "intervals drained inside a horizon must have zero arrivals");
-    st.pending_arrivals.pop_front();
-    ++st.pending_base;
-  }
-
-  std::uint64_t arrivals = 0;
-  if (st.t < st.arrivals_drawn_until) {
-    // An earlier horizon scan already took this interval's Poisson draw
-    // from the master stream; consume it in order instead of redrawing.
-    P2SIM_CHECK(st.pending_base == st.t && !st.pending_arrivals.empty(),
-                "arrival frontier must cover the first undrained interval");
-    arrivals = st.pending_arrivals.front();
-    st.pending_arrivals.pop_front();
-    ++st.pending_base;
-  } else {
-    // Live path.  Demand process updates at day boundaries — pre-draws
-    // never cross a day, so day boundaries always land here.
-    if (st.t % util::kIntervalsPerDay == 0) {
-      st.demand_level = std::clamp(
-          cfg_.demand_walk_rho * st.demand_level +
-              st.rng.normal(1.0 - cfg_.demand_walk_rho,
-                            cfg_.demand_walk_noise *
-                                (1.0 - cfg_.demand_walk_rho) * 4.0),
-          cfg_.demand_min, cfg_.demand_max);
-      if (st.slump_days_left > 0) {
-        --st.slump_days_left;
-      } else if (st.rng.chance(cfg_.slump_prob_per_day)) {
-        st.slump_days_left = static_cast<int>(2 + st.rng.below(6));
-        st.slump_depth =
-            st.rng.uniform(cfg_.slump_depth_min, cfg_.slump_depth_max);
-      }
-    }
-    arrivals = st.rng.poisson(arrival_lambda(st));
-    st.arrivals_drawn_until = st.t + 1;
-    st.pending_base = st.t + 1;
-  }
-  for (std::uint64_t a = 0; a < arrivals; ++a) {
-    st.sched.submit(st.gen.next(st.now));
+  for (; st.next_arrival < st.trace.size() &&
+         arrival_interval(st.trace[st.next_arrival]) == st.t;
+       ++st.next_arrival) {
+    st.sched.submit(st.trace[st.next_arrival]);
   }
 }
 
 void WorkloadDriver::phase_scheduling(CampaignState& st) {
   st.starts = st.sched.schedule(st.now);
-  // Plan the signature measurements these starts need (kernels unknown to
-  // the cache, deduplicated, in first-appearance order).  The plan is
-  // fixed serially so the parallel measure phase has nothing to decide.
-  std::vector<power2::KernelDesc> kernels;
-  kernels.reserve(st.starts.size());
-  for (const pbs::StartEvent& ev : st.starts) {
-    kernels.push_back(st.registry.get(ev.spec.profile_id).kernel);
-  }
-  st.measure_plan = st.signatures.plan_batch(kernels);
 }
 
 void WorkloadDriver::phase_measure(CampaignState& st) {
-  st.measure_results.clear();
-  if (st.measure_plan.empty()) return;
-  st.measure_results.resize(st.measure_plan.size());
-  // Worker-private cores, results written by plan index: the measurement
-  // set and its adoption order are fixed by the serial plan, so neither
-  // thread count nor completion order can reorder anything observable.
+  // Runs once, at setup: every kernel the trace references that the
+  // store lacks, measured in one pool-wide batch on worker-private cores.
+  // Shard s takes every threads-th kernel from s (kernel costs vary, so
+  // interleaving balances better than contiguous ranges) and writes
+  // results by index, so neither thread count nor completion order can
+  // reorder anything observable.
+  std::vector<power2::KernelDesc> kernels;
+  kernels.reserve(st.registry.size());
+  st.registry.for_each(
+      [&kernels](const JobProfile& p) { kernels.push_back(p.kernel); });
+  util::TaskPool& pool = st.pool;
   const power2::CoreConfig& core_cfg = st.signatures.core_config();
-  const std::vector<power2::KernelDesc>& plan = st.measure_plan;
-  std::vector<power2::QuietMeasurement>& results = st.measure_results;
-  st.pool.run(plan.size(), [&plan, &results, &core_cfg](std::size_t begin,
-                                                        std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = power2::measure_quiet(core_cfg, plan[i]);
-    }
-  });
-  st.signatures.adopt_batch(st.measure_plan, st.measure_results);
-  st.measure_plan.clear();
+  st.signatures.warm(
+      kernels, [&pool, &core_cfg](const std::vector<power2::KernelDesc>& batch,
+                                  std::vector<power2::QuietMeasurement>& out) {
+        const std::size_t n = batch.size();
+        const auto stride = static_cast<std::size_t>(pool.threads());
+        pool.run(stride, [&batch, &out, &core_cfg, n, stride](
+                             std::size_t begin, std::size_t end) {
+          for (std::size_t s = begin; s < end; ++s) {
+            for (std::size_t i = s; i < n; i += stride) {
+              out[i] = power2::measure_quiet(core_cfg, batch[i]);
+            }
+          }
+        });
+      });
 }
 
 void WorkloadDriver::phase_launch(CampaignState& st) {
+  // A measured kernel's run telemetry fires at its first start, ahead of
+  // the pass's prologues and in start order.
+  for (const pbs::StartEvent& ev : st.starts) {
+    st.signatures.note_first_use(st.registry.get(ev.spec.profile_id).kernel);
+  }
   for (pbs::StartEvent& ev : st.starts) {
     Running r;
     r.spec = ev.spec;
@@ -610,21 +579,9 @@ void WorkloadDriver::phase_horizon(CampaignState& st) {
       }
     }
   }
-  // Arrival pre-draw: extend the frontier across the window in interval
-  // order — exactly the draws the per-interval loop would have made — and
-  // cut the pass before the first interval with arrivals.
-  const double lambda = arrival_lambda(st);
-  for (std::int64_t u = st.t + 1; u < st.t + cap; ++u) {
-    std::uint64_t count = 0;
-    if (u < st.arrivals_drawn_until) {
-      count = st.pending_arrivals[static_cast<std::size_t>(
-          u - st.pending_base)];
-    } else {
-      count = st.rng.poisson(lambda);
-      st.pending_arrivals.push_back(count);
-      st.arrivals_drawn_until = u + 1;
-    }
-    if (count > 0) cap = u - st.t;
+  // The next arrival ends the pass before its interval.
+  if (st.next_arrival < st.trace.size()) {
+    cap = std::min(cap, arrival_interval(st.trace[st.next_arrival]) - st.t);
   }
   // Whole-interval cron misses per horizon offset (pure keyed queries);
   // the lanes' probes and the collect post-pass read the same bitmap.
@@ -874,6 +831,13 @@ std::int64_t WorkloadDriver::try_resume(CampaignState& st) {
   if (!img.has_value()) return 0;
   util::CkptReader r(img->payload);
   st.restore_ckpt(r);
+  st.next_arrival = static_cast<std::size_t>(
+      std::partition_point(st.trace.begin(), st.trace.end(),
+                           [&img](const pbs::JobSpec& spec) {
+                             return arrival_interval(spec) <
+                                    img->resume_interval;
+                           }) -
+      st.trace.begin());
   return img->resume_interval;
 }
 
@@ -942,22 +906,11 @@ CampaignResult WorkloadDriver::run() {
         telemetry::wall_now_us() - begin_us;
   };
 
+  // Setup is the same for a fresh run and a resume: the state constructor
+  // drew the arrival trace, the measure phase fills the signature table,
+  // and only then does a checkpoint (if any) restore the rest.
+  timed(Phase::kMeasure, &WorkloadDriver::phase_measure);
   const std::int64_t start_t = try_resume(st);
-  if (start_t == 0) {
-    // Warm the signature cache before the interval loop through the same
-    // batch pipeline the mid-campaign measure phase uses: plan the
-    // registered kernels serially, measure them in parallel on
-    // worker-private cores, adopt the results in plan order, then publish
-    // the lock-free snapshot (which also covers everything the persistent
-    // store contributed).  A resumed campaign restores the cache (and the
-    // lane probe baselines) from the checkpoint instead.
-    std::vector<power2::KernelDesc> kernels;
-    st.registry.for_each(
-        [&](const JobProfile& p) { kernels.push_back(p.kernel); });
-    st.measure_plan = st.signatures.plan_batch(kernels);
-    timed(Phase::kMeasure, &WorkloadDriver::phase_measure);
-    st.signatures.warm(kernels);
-  }
 
   if (auto* tel = telemetry::current()) {
     // Wall-clock metric: the thread count shapes wall time, never results,
@@ -970,7 +923,7 @@ CampaignResult WorkloadDriver::run() {
   }
 
   // The pass loop: serial phases run once per pass at its first interval,
-  // the parallel phases drain the whole horizon, and the post-pass below
+  // the lane pipeline drains the whole horizon, and the post-pass below
   // replays the per-interval accounting (epilogues at the pass's last
   // interval only — the horizon phase guarantees no job ends earlier).
   for (std::int64_t first = start_t; first < st.total_intervals;) {
@@ -982,7 +935,6 @@ CampaignResult WorkloadDriver::run() {
     timed(Phase::kFaults, &WorkloadDriver::phase_faults);
     timed(Phase::kArrivals, &WorkloadDriver::phase_arrivals);
     timed(Phase::kScheduling, &WorkloadDriver::phase_scheduling);
-    timed(Phase::kMeasure, &WorkloadDriver::phase_measure);
     timed(Phase::kLaunch, &WorkloadDriver::phase_launch);
     timed(Phase::kHorizon, &WorkloadDriver::phase_horizon);
     timed(Phase::kNfsGrant, &WorkloadDriver::phase_nfs_grant);

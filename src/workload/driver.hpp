@@ -1,13 +1,17 @@
 // The nine-month campaign driver: ties every substrate together.
 //
+// The job stream is data.  Arrivals are open-loop, so setup draws the whole
+// arrival trace from the config (build_arrival_trace) and measures every
+// kernel in it once; the campaign then replays the trace.
+//
 // The interval step is an explicit phase machine (see kPhases): serial
-// phases own all cross-node state — job arrivals from the demand process,
-// the PBS scheduling pass, prologue/epilogue accounting, the merged daemon
+// phases own all cross-node state — submitting the trace's arrivals, the
+// PBS scheduling pass, prologue/epilogue accounting, the merged daemon
 // record — and the two parallel phases touch only worker-private state,
 // sharded statically across DriverConfig::threads worker threads:
 //
-//   * `measure` runs the interval's batch of cold kernel-signature
-//     measurements on worker-private cores (plan/adopt stay serial);
+//   * `measure` runs once, at setup: every kernel of the trace the
+//     signature store lacks, measured in one batch on worker-private cores;
 //   * `lane-pipeline` drains each per-node lane (NodeLane: node + RNG
 //     stream + fault view + telemetry shard + daemon probe baseline)
 //     end-to-end through the whole horizon — node advance plus the
@@ -163,19 +167,19 @@ class WorkloadDriver {
  public:
   /// The campaign step's phases, in execution order.  Exactly two phases
   /// (kMeasure, kLanePipeline) run on the task pool; every other phase is
-  /// serial and owns the cross-node state.  The phases through kFold run
-  /// once per *horizon* (a run of intervals proven free of cross-node
-  /// events); kEpilogues runs at the horizon's last interval and
+  /// serial and owns the cross-node state.  kMeasure runs once, at setup;
+  /// the other phases through kFold run once per *horizon* (a run of
+  /// intervals proven free of cross-node events); kEpilogues runs at the horizon's last interval and
   /// kCollect/kObserve replay once per interval from the fold's
   /// per-interval outputs.
   enum class Phase {
     kDayRollover,   ///< day-span telemetry rotation (serial)
     kFaults,        ///< reboots, crashes, kills, requeues (serial)
-    kArrivals,      ///< demand walk + Poisson submissions (serial)
-    kScheduling,    ///< PBS pass + batch measurement plan (serial)
-    kMeasure,       ///< cold kernel signatures (PARALLEL, private cores)
+    kArrivals,      ///< submits the trace's arrivals (serial)
+    kScheduling,    ///< PBS pass (serial)
+    kMeasure,       ///< cold kernel signatures, once at setup (PARALLEL)
     kLaunch,        ///< job binding + prologue snapshots (serial)
-    kHorizon,       ///< safe multi-interval horizon + arrival predraw (serial)
+    kHorizon,       ///< safe multi-interval horizon (serial)
     kNfsGrant,      ///< cluster-wide filesystem throttle (serial)
     kLanePipeline,  ///< per-lane advance + probe x horizon (PARALLEL)
     kFold,          ///< deterministic tree merge of lane outputs (serial)
@@ -241,15 +245,12 @@ class WorkloadDriver {
   cluster::ActivityProfile activity_for(const Running& r,
                                         double disk_grant_fraction) const;
 
-  /// The demand process's Poisson intensity for the current day.
-  double arrival_lambda(const CampaignState& st) const;
-
   P2SIM_SERIAL_ONLY void phase_day_rollover(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_faults(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_arrivals(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_scheduling(CampaignState& st);
-  /// Parallel: measures the scheduling pass's batch plan on
-  /// worker-private cores; plan selection and adoption stay serial.
+  /// Parallel, once per campaign at setup: measures every kernel of the
+  /// arrival trace the signature store lacks on worker-private cores.
   void phase_measure(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_launch(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_horizon(CampaignState& st);
@@ -271,8 +272,9 @@ class WorkloadDriver {
   /// writes one durable checkpoint generation.  A failed write logs and
   /// counts — it never fails the campaign.
   P2SIM_SERIAL_ONLY void maybe_checkpoint(CampaignState& st);
-  /// Attempts a resume from DriverConfig::checkpoint.  Returns the first
-  /// interval the loop must execute (0 when starting fresh).
+  /// Attempts a resume from DriverConfig::checkpoint, on top of the setup
+  /// a fresh run also does.  Returns the first interval the loop must
+  /// execute (0 when starting fresh).
   P2SIM_SERIAL_ONLY std::int64_t try_resume(CampaignState& st);
 
   DriverConfig cfg_;
@@ -307,5 +309,13 @@ struct PhaseTimings {
 
 /// Convenience: run a campaign with the given config.
 CampaignResult run_campaign(const DriverConfig& cfg = {});
+
+/// The campaign's whole job stream, in interval order: the demand walk and
+/// slumps at each day start, one Poisson draw per interval from the master
+/// stream (seeded with cfg.seed), and one JobGenerator::next per arrival,
+/// which registers the job's profile in `registry`.  A pure function of
+/// the config; the trace for D days is a prefix of the trace for D + k.
+std::vector<pbs::JobSpec> build_arrival_trace(const DriverConfig& cfg,
+                                              ProfileRegistry& registry);
 
 }  // namespace p2sim::workload

@@ -197,33 +197,4 @@ pbs::JobSpec JobGenerator::next(double submit_time_s) {
   return spec;
 }
 
-void JobGenerator::save_ckpt(util::CkptWriter& w) const {
-  rng_.save_ckpt(w);
-  w.put_i64(next_job_id_);
-  w.put_i32(next_user_);
-  w.put_i64(last_day_);
-  w.put_i32(episode_days_left_);
-  w.put_u64(user_codes_.size());
-  for (const auto& [user, code] : user_codes_) {
-    w.put_i32(user);
-    code.save_ckpt(w);
-  }
-}
-
-void JobGenerator::restore_ckpt(util::CkptReader& r) {
-  rng_.restore_ckpt(r);
-  next_job_id_ = r.read_i64("jobgen.next_job_id");
-  next_user_ = r.read_i32("jobgen.next_user");
-  last_day_ = r.read_i64("jobgen.last_day");
-  episode_days_left_ = r.read_i32("jobgen.episode_days_left");
-  user_codes_.clear();
-  std::uint64_t n = r.read_u64("jobgen.user_codes_size");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::int32_t user = r.read_i32("jobgen.user_id");
-    JobProfile code;
-    code.restore_ckpt(r);
-    user_codes_.emplace(user, std::move(code));
-  }
-}
-
 }  // namespace p2sim::workload

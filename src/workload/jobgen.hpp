@@ -90,12 +90,6 @@ class JobGenerator {
   std::int64_t jobs_generated() const { return next_job_id_ - 1; }
   const JobGenConfig& config() const { return cfg_; }
 
-  /// Checkpoint support: the RNG stream, id/user counters, episode state
-  /// and every user's sticky code round-trip, so the generated population
-  /// continues bit-identically after a resume.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
-
  private:
   JobProfile make_profile(int nodes, bool interactive);
   /// Redraws the run-dependent memory demand (the section 6 automatic

@@ -1,18 +1,22 @@
 // Persistence round-trip for the signature store: signatures written by
 // flush() must reload bit-identically, a corrupt line must degrade to
 // re-measurement of just that kernel, and a core-config change must
-// invalidate the whole file (measured rates are config-dependent).
+// invalidate the whole file (measured rates are config-dependent).  Also
+// the first-use telemetry contract: a measured kernel's run telemetry
+// fires once, at its first use, and a store hit never fires.
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/power2/kernel_desc.hpp"
 #include "src/power2/signature.hpp"
 #include "src/power2/signature_store.hpp"
+#include "src/telemetry/session.hpp"
 
 namespace p2sim::power2 {
 namespace {
@@ -56,6 +60,7 @@ TEST(SignatureStore, RoundTripIsBitIdentical) {
   const std::string path = temp_store("p2sim_store_roundtrip.txt");
 
   SignatureCache writer({}, {.path = path});
+  writer.warm({kernel_a(), kernel_b()});
   const EventSignature sig_a = writer.get(kernel_a());
   const EventSignature sig_b = writer.get(kernel_b());
   EXPECT_EQ(writer.stats().measured, 2u);
@@ -67,13 +72,13 @@ TEST(SignatureStore, RoundTripIsBitIdentical) {
   EXPECT_EQ(loaded.store_corrupt_lines, 0u);
   EXPECT_FALSE(loaded.store_rejected);
 
-  // Hexfloat serialization: every double survives the disk trip exactly.
+  // Hexfloat serialization: every double survives the disk trip exactly,
+  // and the loaded entries serve lookups without a warm().
   EXPECT_EQ(reader.get(kernel_a()), sig_a);
   EXPECT_EQ(reader.get(kernel_b()), sig_b);
+  EXPECT_EQ(reader.size(), 2u);
+  reader.warm({kernel_a(), kernel_b()});
   EXPECT_EQ(reader.stats().measured, 0u);
-  // The constructor published the loaded entries as the lock-free
-  // snapshot, so both lookups were level-1 hits.
-  EXPECT_EQ(reader.stats().snapshot_hits, 2u);
 
   std::remove(path.c_str());
 }
@@ -82,6 +87,7 @@ TEST(SignatureStore, CorruptLineFallsBackToMeasurement) {
   const std::string path = temp_store("p2sim_store_corrupt.txt");
 
   SignatureCache writer({}, {.path = path});
+  writer.warm({kernel_a(), kernel_b()});
   const EventSignature sig_a = writer.get(kernel_a());
   const EventSignature sig_b = writer.get(kernel_b());
   ASSERT_TRUE(writer.flush());
@@ -99,8 +105,9 @@ TEST(SignatureStore, CorruptLineFallsBackToMeasurement) {
   EXPECT_EQ(loaded.store_corrupt_lines, 1u);
   EXPECT_FALSE(loaded.store_rejected);
 
-  // The surviving entry loads; the damaged one is transparently
-  // re-measured to the same value (measurement is deterministic).
+  // The surviving entry loads; warm() re-measures the damaged one to the
+  // same value (measurement is deterministic).
+  reader.warm({kernel_a(), kernel_b()});
   EXPECT_EQ(reader.get(kernel_a()), sig_a);
   EXPECT_EQ(reader.get(kernel_b()), sig_b);
   EXPECT_EQ(reader.stats().measured, 1u);
@@ -120,7 +127,7 @@ TEST(SignatureStore, CoreConfigMismatchInvalidatesStore) {
   const KernelDesc resident = b.warmup(16384).measure(8192).build();
 
   SignatureCache writer({}, {.path = path});
-  writer.get(resident);
+  writer.warm({resident});
   ASSERT_TRUE(writer.flush());
 
   CoreConfig tiny;
@@ -133,6 +140,8 @@ TEST(SignatureStore, CoreConfigMismatchInvalidatesStore) {
   // And the mismatched-config measurement really is different, which is
   // why the invalidation matters.
   SignatureCache fresh;
+  reader.warm({resident});
+  fresh.warm({resident});
   EXPECT_GT(reader.get(resident).dcache_miss, fresh.get(resident).dcache_miss);
   EXPECT_EQ(reader.stats().measured, 1u);
 
@@ -146,7 +155,7 @@ TEST(SignatureStore, MissingFileIsCleanColdStart) {
   EXPECT_EQ(s.store_loaded, 0u);
   EXPECT_EQ(s.store_corrupt_lines, 0u);
   EXPECT_FALSE(s.store_rejected);
-  cache.get(kernel_a());
+  cache.warm({kernel_a()});
   EXPECT_EQ(cache.stats().measured, 1u);
   ASSERT_TRUE(cache.flush());
   EXPECT_FALSE(read_file(path).empty());
@@ -156,7 +165,7 @@ TEST(SignatureStore, MissingFileIsCleanColdStart) {
 TEST(SignatureStore, WriteDisabledLeavesNoFile) {
   const std::string path = temp_store("p2sim_store_nowrite.txt");
   SignatureCache cache({}, {.path = path, .read = true, .write = false});
-  cache.get(kernel_a());
+  cache.warm({kernel_a()});
   EXPECT_TRUE(cache.flush());  // nothing configured to write: success
   std::ifstream probe(path);
   EXPECT_FALSE(probe.good());
@@ -167,31 +176,73 @@ TEST(SignatureStore, WarmPublishesStoreAndMeasurements) {
 
   {
     SignatureCache writer({}, {.path = path});
-    writer.get(kernel_a());
+    writer.warm({kernel_a()});
     ASSERT_TRUE(writer.flush());
   }
 
   SignatureCache cache({}, {.path = path});
   cache.warm({kernel_a(), kernel_b()});
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().measured, 1u);  // only kernel_b was missing
+  const SignatureCache::Stats s = cache.stats();
+  EXPECT_EQ(s.store_loaded, 1u);
+  EXPECT_EQ(s.measured, 1u);  // only kernel_b was missing
 
-  // Post-warm lookups are lock-free snapshot hits for both the
-  // store-loaded and the freshly measured kernel.
-  const std::uint64_t before = cache.stats().snapshot_hits;
-  cache.get(kernel_a());
-  cache.get(kernel_b());
-  const SignatureCache::Stats after = cache.stats();
-  EXPECT_EQ(after.snapshot_hits, before + 2);
-  EXPECT_EQ(after.locked_hits, 0u);
+  // Post-warm lookups serve both the store-loaded and the freshly
+  // measured kernel, and measure nothing more.
+  SignatureCache direct;
+  direct.warm({kernel_a(), kernel_b()});
+  EXPECT_EQ(cache.get(kernel_a()), direct.get(kernel_a()));
+  EXPECT_EQ(cache.get(kernel_b()), direct.get(kernel_b()));
+  EXPECT_EQ(cache.stats().measured, 1u);
 
   // flush() persists the union; a third cache sees both without measuring.
   ASSERT_TRUE(cache.flush());
   SignatureCache reader({}, {.path = path});
   EXPECT_EQ(reader.stats().store_loaded, 2u);
-  reader.get(kernel_a());
-  reader.get(kernel_b());
+  reader.warm({kernel_a(), kernel_b()});
   EXPECT_EQ(reader.stats().measured, 0u);
+
+  std::remove(path.c_str());
+}
+
+std::uint64_t kernel_runs(const telemetry::Session& session) {
+  for (const auto& m : session.registry.snapshot()) {
+    if (m.name == "p2sim_core_run_cycles") return m.observations;
+  }
+  return 0;
+}
+
+TEST(SignatureStore, FirstUseTelemetryFiresOncePerMeasuredKernel) {
+  const std::string path = temp_store("p2sim_store_first_use.txt");
+  {
+    SignatureCache writer({}, {.path = path});
+    writer.warm({kernel_a()});
+    ASSERT_TRUE(writer.flush());
+  }
+
+  telemetry::Session session;
+  telemetry::ScopedSession scoped(session);
+  SignatureCache cache({}, {.path = path});
+  cache.warm({kernel_a(), kernel_b()});  // a: store hit, b: measured
+  EXPECT_EQ(kernel_runs(session), 0u);   // measurement itself is quiet
+
+  cache.note_first_use(kernel_a());
+  EXPECT_EQ(kernel_runs(session), 0u);  // a store hit never fires
+  cache.note_first_use(kernel_b());
+  EXPECT_EQ(kernel_runs(session), 1u);
+  cache.note_first_use(kernel_b());
+  cache.note_first_use(kernel_a());
+  EXPECT_EQ(kernel_runs(session), 1u);  // exactly once per measured kernel
+  EXPECT_EQ(cache.first_uses(),
+            std::vector<std::uint64_t>{kernel_b().content_hash()});
+
+  // A resume marks the checkpointed first uses as already fired.
+  SignatureCache resumed({}, {.path = path});
+  resumed.warm({kernel_a(), kernel_b()});
+  resumed.restore_first_uses(cache.first_uses());
+  resumed.note_first_use(kernel_b());
+  EXPECT_EQ(kernel_runs(session), 1u);
+  EXPECT_EQ(resumed.first_uses(), cache.first_uses());
 
   std::remove(path.c_str());
 }
@@ -200,8 +251,8 @@ TEST(SignatureStore, TruncatedStoreIsRejectedAndRebuilt) {
   const std::string path = temp_store("p2sim_store_truncated.txt");
 
   SignatureCache writer({}, {.path = path});
+  writer.warm({kernel_a(), kernel_b()});
   const EventSignature sig_a = writer.get(kernel_a());
-  writer.get(kernel_b());
   ASSERT_TRUE(writer.flush());
 
   // The writer "died" before the commit trailer: the surviving prefix is
@@ -217,8 +268,9 @@ TEST(SignatureStore, TruncatedStoreIsRejectedAndRebuilt) {
   EXPECT_TRUE(loaded.store_rejected);
   EXPECT_EQ(loaded.store_loaded, 0u);
 
-  // Affected kernels transparently re-measure (bit-identical: measurement
-  // is deterministic)...
+  // Affected kernels re-measure on warm() (bit-identical: measurement is
+  // deterministic)...
+  reader.warm({kernel_a()});
   EXPECT_EQ(reader.get(kernel_a()), sig_a);
   EXPECT_EQ(reader.stats().measured, 1u);
 
@@ -235,8 +287,7 @@ TEST(SignatureStore, MidLineTruncationRejectsWholeStore) {
   const std::string path = temp_store("p2sim_store_midline.txt");
 
   SignatureCache writer({}, {.path = path});
-  writer.get(kernel_a());
-  writer.get(kernel_b());
+  writer.warm({kernel_a(), kernel_b()});
   ASSERT_TRUE(writer.flush());
 
   // Tear inside the last entry line: the trailer is gone and the final
@@ -265,8 +316,7 @@ TEST(SignatureStore, LegacyV1StoreWithoutTrailerStillLoads) {
   const std::string path = temp_store("p2sim_store_v1.txt");
 
   SignatureCache writer({}, {.path = path});
-  writer.get(kernel_a());
-  writer.get(kernel_b());
+  writer.warm({kernel_a(), kernel_b()});
   ASSERT_TRUE(writer.flush());
 
   // Rewrite the store as a v1 file: v1 header, no commit trailer.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "src/power2/kernel_desc.hpp"
 
 namespace p2sim::power2 {
@@ -82,19 +85,24 @@ TEST(Signature, ScaleRoundTripApproximatesRun) {
 TEST(SignatureCache, MemoizesByContent) {
   SignatureCache cache;
   const KernelDesc k = simple_kernel();
+  cache.warm({k, k});
   const EventSignature& a = cache.get(k);
   const EventSignature& b = cache.get(k);
-  EXPECT_EQ(&a, &b);  // same cached object
+  EXPECT_EQ(&a, &b);  // same table entry
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().measured, 1u);
+  cache.warm({k});  // already in the table: nothing to measure
+  EXPECT_EQ(cache.stats().measured, 1u);
+  EXPECT_EQ(&cache.get(k), &a);
 }
 
 TEST(SignatureCache, DistinctKernelsDistinctEntries) {
   SignatureCache cache;
-  cache.get(simple_kernel());
   KernelBuilder b2("sig_other");
   b2.fp_add();
-  cache.get(b2.warmup(8).measure(256).build());
+  cache.warm({simple_kernel(), b2.warmup(8).measure(256).build()});
   EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().measured, 2u);
 }
 
 TEST(SignatureCache, HonorsCoreConfig) {
@@ -112,7 +120,45 @@ TEST(SignatureCache, HonorsCoreConfig) {
   CoreConfig tiny;
   tiny.dcache = {.size_bytes = 4096, .line_bytes = 256, .ways = 2};
   SignatureCache small(tiny);
+  normal.warm({k});
+  small.warm({k});
   EXPECT_GT(small.get(k).dcache_miss, normal.get(k).dcache_miss);
+}
+
+TEST(SignatureCache, BatchMeasureFillsTheTable) {
+  // The driver hands warm() a measurer that spreads the batch over its
+  // pool; any measurer that fills out[i] for kernels[i] gives the table
+  // serial measurement would.
+  KernelBuilder b2("sig_batch");
+  b2.fp_mul();
+  const std::vector<KernelDesc> kernels = {simple_kernel(),
+                                           b2.warmup(8).measure(256).build()};
+  std::size_t batch_size = 0;
+  SignatureCache batched;
+  batched.warm(kernels, [&batch_size](const std::vector<KernelDesc>& batch,
+                                      std::vector<QuietMeasurement>& out) {
+    batch_size = batch.size();
+    for (std::size_t i = batch.size(); i-- > 0;) {
+      out[i] = measure_quiet({}, batch[i]);
+    }
+  });
+  EXPECT_EQ(batch_size, 2u);
+  SignatureCache serial;
+  serial.warm(kernels);
+  for (const KernelDesc& k : kernels) {
+    EXPECT_EQ(batched.get(k), serial.get(k)) << k.name;
+  }
+}
+
+TEST(SignatureCache, GetOnUnwarmedKernelThrows) {
+  SignatureCache cache;
+  EXPECT_THROW((void)cache.get(simple_kernel()), std::out_of_range);
+  KernelBuilder b2("sig_never_warmed");
+  b2.fp_add();
+  cache.warm({simple_kernel()});
+  EXPECT_THROW((void)cache.get(b2.warmup(8).measure(256).build()),
+               std::out_of_range);
+  EXPECT_EQ(cache.stats().measured, 1u);  // a miss never measures
 }
 
 }  // namespace

@@ -175,8 +175,7 @@ std::string store_text() {
     const std::string path = testing_support::scratch_path("store.txt");
     std::remove(path.c_str());
     power2::SignatureCache cache({}, {.path = path});
-    (void)cache.get(fuzz_kernel("fuzz_a", 1 << 16));
-    (void)cache.get(fuzz_kernel("fuzz_b", 1 << 14));
+    cache.warm({fuzz_kernel("fuzz_a", 1 << 16), fuzz_kernel("fuzz_b", 1 << 14)});
     EXPECT_TRUE(cache.flush());
     std::ifstream in(path, std::ios::binary);
     std::ostringstream out;
