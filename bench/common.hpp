@@ -1,10 +1,8 @@
 // Shared plumbing for the bench binaries.
 //
-// Every table/figure bench runs the *paper-scale* campaign (144 nodes, 270
-// days) exactly once per process, prints its reproduction next to the
-// paper's reported values, dumps the underlying series as CSV, and then
-// runs google-benchmark timings of the analysis/simulation kernels behind
-// it.
+// Each bench prints its reproduction or measurement, optionally next to
+// the paper's reported values, dumps the underlying series as CSV, and
+// then runs google-benchmark timings of the kernels behind it.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -16,13 +14,6 @@
 #include "src/core/simulation.hpp"
 
 namespace p2sim::bench {
-
-/// The paper-scale simulation, constructed on first use and shared by all
-/// benchmarks in the binary.
-inline core::Sp2Simulation& paper_sim() {
-  static core::Sp2Simulation sim{core::Sp2Config{}};
-  return sim;
-}
 
 /// "paper X.X / measured Y.Y" comparison line.
 inline void compare(const char* what, double paper, double measured,

@@ -5,6 +5,8 @@
 //   run_experiment --days 30 --nodes 32 fault_campaign
 //   run_experiment --faults loss          # reference outage profile
 //   run_experiment --checkpoint-dir ck --resume table2
+//   run_experiment --days 270 --nodes 144 report     # the full study
+//   run_experiment --outdir out --records out/run fig1 fig2 report
 //
 // Every table, figure and audit the repository reproduces is addressable
 // here through the core experiment registry; `--faults` turns on the
@@ -17,12 +19,16 @@
 // one.  --abort-after simulates an operator abort mid-campaign: partial
 // outputs are removed and the exit status is nonzero, so schedulers never
 // mistake a dead run for a finished one.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/record_io.hpp"
@@ -50,11 +56,51 @@ void abort_after_hook(const char* point, std::int64_t /*value*/) {
   }
 }
 
+constexpr const char* kUsage =
+    "usage: run_experiment [--days N] [--nodes N] [--seed S] [--waitstates] "
+    "[--threads N] [--faults] [--signature-store FILE] [--checkpoint-dir DIR] "
+    "[--checkpoint-every N] [--resume] [--records BASE] [--archive FILE] "
+    "[--outdir DIR] [--abort-after N] <experiment>...\n"
+    "       run_experiment --list\n";
+
+[[noreturn]] void usage_and_exit() {
+  std::fputs(kUsage, stderr);
+  std::exit(2);
+}
+
+// Parses a whole token as a number: "16abc", "2x" and "" are errors
+// (usage, exit 2), not 16 and 2.  Unsigned values also take a 0x prefix.
+template <typename T>
+T parse_number(std::string_view token) {
+  int base = 10;
+  if constexpr (std::is_unsigned_v<T>) {
+    if (token.size() > 2 && token[0] == '0' &&
+        (token[1] == 'x' || token[1] == 'X')) {
+      token.remove_prefix(2);
+      base = 16;
+    }
+  }
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value, base);
+  if (token.empty() || ec != std::errc{} || ptr != end) usage_and_exit();
+  return value;
+}
+
+// Writes `text` to `path`; false when the file could not be written.
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  return out.good();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::int64_t days = 30;
   int nodes = 32;
+  std::uint64_t seed = p2sim::workload::DriverConfig{}.seed;
+  bool waitstates = false;
   int threads = 1;
   bool faults = false;
   std::string store_path;
@@ -63,69 +109,83 @@ int main(int argc, char** argv) {
   bool resume = false;
   std::string records_base;
   std::string archive_path;
+  std::string outdir;
   std::vector<std::string> names;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto value = [&]() -> std::string_view {
+      if (i + 1 >= argc) usage_and_exit();
+      return argv[++i];
+    };
     if (arg == "--list") {
       list_experiments();
       return 0;
-    } else if (arg == "--days" && i + 1 < argc) {
-      days = std::atoll(argv[++i]);
-    } else if (arg == "--nodes" && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+    } else if (arg == "--days") {
+      days = parse_number<std::int64_t>(value());
+    } else if (arg == "--nodes") {
+      nodes = parse_number<int>(value());
+    } else if (arg == "--seed") {
+      seed = parse_number<std::uint64_t>(value());
+    } else if (arg == "--waitstates") {
+      waitstates = true;
+    } else if (arg == "--threads") {
+      threads = parse_number<int>(value());
     } else if (arg == "--faults") {
       faults = true;
-    } else if (arg == "--signature-store" && i + 1 < argc) {
-      store_path = argv[++i];
-    } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
-    } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      checkpoint_every = std::atoll(argv[++i]);
+    } else if (arg == "--signature-store") {
+      store_path = value();
+    } else if (arg == "--checkpoint-dir") {
+      checkpoint_dir = value();
+    } else if (arg == "--checkpoint-every") {
+      checkpoint_every = parse_number<std::int64_t>(value());
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--records" && i + 1 < argc) {
-      records_base = argv[++i];
-    } else if (arg == "--archive" && i + 1 < argc) {
-      archive_path = argv[++i];
-    } else if (arg == "--abort-after" && i + 1 < argc) {
-      g_abort_after = std::atoll(argv[++i]);
+    } else if (arg == "--records") {
+      records_base = value();
+    } else if (arg == "--archive") {
+      archive_path = value();
+    } else if (arg == "--outdir") {
+      outdir = value();
+    } else if (arg == "--abort-after") {
+      g_abort_after = parse_number<std::int64_t>(value());
     } else if (arg == "--help") {
       std::printf(
-          "usage: run_experiment [--days N] [--nodes N] [--threads N] "
-          "[--faults] [--signature-store FILE] [--checkpoint-dir DIR] "
-          "[--checkpoint-every N] [--resume] [--records BASE] "
-          "[--archive FILE] [--abort-after N] <experiment>...\n"
-          "       run_experiment --list\n"
-          "--threads N runs the node-advance phase on N workers (0 = one\n"
-          "per core); every output is bit-identical for every value.\n"
-          "--signature-store FILE persists measured kernel signatures so\n"
-          "repeated runs skip the cycle-accurate cold start (bit-identical\n"
-          "either way).\n"
-          "--checkpoint-dir DIR writes a durable campaign checkpoint every\n"
-          "--checkpoint-every N intervals (default 96 = one simulated day);\n"
-          "--resume continues from the newest intact generation.  Resumed\n"
-          "campaigns are bit-identical to uninterrupted ones.\n"
-          "--records BASE stores the campaign to BASE.intervals and\n"
-          "BASE.jobs (record_io v2, commit-trailed).\n"
-          "--archive FILE stores the campaign as a columnar archive the\n"
-          "campaign_query tool scans directly (bit-identical bytes for\n"
-          "every thread count).\n"
-          "--abort-after N aborts the campaign after N intervals: partial\n"
-          "outputs are removed and the exit status is 1.\n");
+          "%s"
+          "--days/--nodes: campaign size (default 30 x 32; paper 270 x 144)\n"
+          "--seed S (decimal or 0x hex); --waitstates: wait-state counters\n"
+          "--threads N: node-advance workers (0 = one per core)\n"
+          "--signature-store FILE: persist measured kernel signatures\n"
+          "--checkpoint-dir DIR: a durable checkpoint every\n"
+          "  --checkpoint-every N intervals (default 96 = one day);\n"
+          "  --resume continues from the newest intact generation\n"
+          "--records BASE: BASE.intervals and BASE.jobs (record_io v2)\n"
+          "--archive FILE: a columnar archive for campaign_query\n"
+          "--outdir DIR: also DIR/<name>.txt, and DIR/<name>.csv per figure\n"
+          "--abort-after N: abort after N intervals (partial outputs are\n"
+          "  removed, exit status 1)\n"
+          "Outputs are bit-identical for every --threads value, across\n"
+          "resume and with or without a signature store.\n",
+          kUsage);
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      usage_and_exit();
     } else {
       names.push_back(arg);
     }
   }
+  if (days <= 0 || nodes <= 0) usage_and_exit();
   if (names.empty()) {
     std::fprintf(stderr, "no experiment named; try --list\n");
     return 2;
   }
 
   p2sim::core::Sp2Config cfg = p2sim::core::Sp2Config::small(days, nodes);
+  cfg.driver.seed = seed;
+  if (waitstates) {
+    cfg.driver.node.monitor.selection =
+        p2sim::hpm::CounterSelection::kWaitStates;
+  }
   cfg.threads() = threads;
   cfg.signature_store() = store_path;
   cfg.checkpoint().dir = checkpoint_dir;
@@ -165,8 +225,18 @@ int main(int argc, char** argv) {
         remove_partial_outputs();
         return 2;
       }
-      std::printf("--- %s: %s ---\n%s\n", exp->name.c_str(),
-                  exp->description.c_str(), exp->run(sim).c_str());
+      const std::string text = p2sim::core::render(*exp, sim);
+      std::fputs(text.c_str(), stdout);
+      if (!outdir.empty()) {
+        std::filesystem::create_directories(outdir);
+        const std::string base = outdir + "/" + exp->name;
+        if (!write_file(base + ".txt", text) ||
+            (exp->csv && !write_file(base + ".csv", exp->csv(sim)))) {
+          std::fprintf(stderr, "failed writing %s.*\n", base.c_str());
+          remove_partial_outputs();
+          return 1;
+        }
+      }
     }
     if (!records_base.empty()) {
       std::ofstream fi(intervals_path, std::ios::trunc);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/util/sim_time.hpp"
+#include "src/util/stats.hpp"
 
 namespace p2sim::analysis {
 
@@ -81,6 +82,29 @@ std::size_t representative_day_index(const std::vector<DayStats>& days) {
     return days[a].per_node.mflops_all < days[b].per_node.mflops_all;
   });
   return idx[idx.size() / 2];
+}
+
+std::vector<MonthStats> monthly_stats(const std::vector<DayStats>& days,
+                                      int days_per_month) {
+  std::vector<MonthStats> out;
+  if (days_per_month <= 0) return out;
+  for (std::size_t i = 0; i < days.size();) {
+    MonthStats m;
+    m.month = static_cast<int>(out.size());
+    util::RunningStats g, u, f;
+    for (int d = 0; d < days_per_month && i < days.size(); ++d, ++i) {
+      g.add(days[i].gflops);
+      u.add(days[i].utilization);
+      f.add(days[i].per_node.mflops_all);
+    }
+    m.mean_gflops = g.mean();
+    m.max_gflops = g.max();
+    m.mean_utilization = u.mean();
+    m.mean_mflops_per_node = f.mean();
+    m.days = static_cast<int>(g.count());
+    out.push_back(m);
+  }
+  return out;
 }
 
 }  // namespace p2sim::analysis

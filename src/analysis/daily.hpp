@@ -48,4 +48,17 @@ std::vector<DayStats> filter_days(const std::vector<DayStats>& days,
 /// used as the "representative single day" column of Tables 2 and 3.
 std::size_t representative_day_index(const std::vector<DayStats>& days);
 
+/// Per-calendar-month aggregates (30-day months over the campaign).
+struct MonthStats {
+  int month = 0;  ///< 0-based month index
+  double mean_gflops = 0.0;
+  double max_gflops = 0.0;
+  double mean_utilization = 0.0;
+  double mean_mflops_per_node = 0.0;
+  int days = 0;
+};
+
+std::vector<MonthStats> monthly_stats(const std::vector<DayStats>& days,
+                                      int days_per_month = 30);
+
 }  // namespace p2sim::analysis

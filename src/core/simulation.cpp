@@ -92,6 +92,18 @@ analysis::MeasurementLoss Sp2Simulation::measurement_loss() {
   return analysis::measure_loss(campaign(), cfg_.table_min_coverage);
 }
 
+Sp2Simulation& Sp2Simulation::faulted() {
+  if (faulted_ == nullptr) {
+    Sp2Config cfg = cfg_;
+    cfg.faults() = fault::FaultConfig::reference();
+    // The caller's archive and checkpoints belong to the caller's campaign.
+    cfg.archive().clear();
+    cfg.checkpoint() = {};
+    faulted_ = std::make_unique<Sp2Simulation>(std::move(cfg));
+  }
+  return *faulted_;
+}
+
 power2::RunResult Sp2Simulation::run_kernel(
     const power2::KernelDesc& kernel) const {
   power2::Power2Core core(cfg_.driver.core);

@@ -92,6 +92,11 @@ class Sp2Simulation {
   /// (trivially all-zero-loss on a fault-free campaign).
   analysis::MeasurementLoss measurement_loss();
 
+  /// The same campaign under the reference outage profile
+  /// (fault::FaultConfig::reference()), built on first call and kept.  It
+  /// writes no archive and no checkpoints.
+  Sp2Simulation& faulted();
+
   /// Runs one kernel on a fresh core with the campaign's core config —
   /// the paper's single-processor calibration measurements.
   power2::RunResult run_kernel(const power2::KernelDesc& kernel) const;
@@ -102,6 +107,7 @@ class Sp2Simulation {
   Sp2Config cfg_;
   std::optional<workload::CampaignResult> result_;
   std::optional<std::vector<analysis::DayStats>> days_;
+  std::unique_ptr<Sp2Simulation> faulted_;
 };
 
 }  // namespace p2sim::core

@@ -54,7 +54,7 @@ struct FaultConfig {
   /// Seed of the fault schedule; independent of the workload seed.
   std::uint64_t seed = 0x0BAD5EEDULL;
 
-  /// The reference schedule used by bench_fault_campaign and the docs: a
+  /// The reference schedule used by bench_paper and the docs: a
   /// realistic nine-month outage profile (roughly one crash per node per
   /// two months, 1% missed samples, 2% lost epilogues).
   static FaultConfig reference();

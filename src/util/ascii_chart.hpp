@@ -1,7 +1,7 @@
-// Terminal rendering of the paper's figures.  The bench binaries regenerate
-// each figure as (a) a CSV series and (b) an ASCII chart so the shape of the
-// result — the >64-node collapse, the flat moving average, the Figure 5
-// anti-correlation — is visible directly in the bench output.
+// Terminal rendering of the paper's figures.  The experiment registry
+// renders each figure as (a) a CSV series and (b) an ASCII chart so the
+// shape of the result — the >64-node collapse, the flat moving average, the
+// Figure 5 anti-correlation — is visible directly in the output.
 #pragma once
 
 #include <string>

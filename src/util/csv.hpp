@@ -1,6 +1,6 @@
-// Minimal CSV emission.  Every bench binary writes the series behind its
-// table/figure as CSV (alongside the ASCII rendering) so results can be
-// re-plotted outside the repository.
+// Minimal CSV emission.  The registry's figures and several benches write
+// the series behind them as CSV (alongside the ASCII rendering) so results
+// can be re-plotted outside the repository.
 #pragma once
 
 #include <ostream>

@@ -88,5 +88,27 @@ TEST(RepresentativeDay, PicksTheMedianPerformer) {
   EXPECT_EQ(representative_day_index({}), 0u);
 }
 
+TEST(Monthly, SplitsDaysIntoMonths) {
+  std::vector<DayStats> days(70);
+  for (int i = 0; i < 70; ++i) {
+    days[static_cast<std::size_t>(i)].day = i;
+    days[static_cast<std::size_t>(i)].gflops = 1.0 + (i / 30);
+    days[static_cast<std::size_t>(i)].utilization = 0.5;
+  }
+  const auto months = monthly_stats(days, 30);
+  ASSERT_EQ(months.size(), 3u);
+  EXPECT_EQ(months[0].days, 30);
+  EXPECT_EQ(months[1].days, 30);
+  EXPECT_EQ(months[2].days, 10);
+  EXPECT_NEAR(months[0].mean_gflops, 1.0, 1e-9);
+  EXPECT_NEAR(months[1].mean_gflops, 2.0, 1e-9);
+  EXPECT_NEAR(months[2].mean_gflops, 3.0, 1e-9);
+}
+
+TEST(Monthly, EmptyAndDegenerateInputs) {
+  EXPECT_TRUE(monthly_stats({}, 30).empty());
+  EXPECT_TRUE(monthly_stats(std::vector<DayStats>(5), 0).empty());
+}
+
 }  // namespace
 }  // namespace p2sim::analysis

@@ -1,12 +1,18 @@
 // Integration tests: the paper's headline findings must hold on a
-// moderately sized campaign (scaled machine, same physics).  These are the
-// "shape" checks behind EXPERIMENTS.md.
+// moderately sized campaign (scaled machine, same physics).  Every shape
+// row of the fidelity table (src/core/fidelity.hpp) is one test here;
+// bench_paper checks the same rows, and the band and deviation rows, at
+// paper scale.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cctype>
+#include <map>
+#include <set>
+#include <string>
+#include <string_view>
 
-#include "src/core/simulation.hpp"
-#include "src/workload/kernels.hpp"
+#include "src/core/fidelity.hpp"
+#include "src/core/registry.hpp"
 
 namespace p2sim::core {
 namespace {
@@ -15,8 +21,7 @@ namespace {
 class PaperClaims : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    Sp2Config cfg = Sp2Config::small(/*days=*/45, /*nodes=*/48);
-    sim_ = new Sp2Simulation(cfg);
+    sim_ = new Sp2Simulation(Sp2Config::small(/*days=*/45, /*nodes=*/48));
     sim_->campaign();
   }
   static void TearDownTestSuite() {
@@ -28,175 +33,122 @@ class PaperClaims : public ::testing::Test {
 
 Sp2Simulation* PaperClaims::sim_ = nullptr;
 
-TEST_F(PaperClaims, SystemRunsAtAFewPercentOfPeak) {
-  // "about 1.3 Gflops, about 3% of peak" — scaled: efficiency in the
-  // single-digit percent range.
-  const auto f1 = sim_->fig1();
-  const double peak_gflops =
-      sim_->campaign().num_nodes * util::MachineClock::kPeakMflopsPerNode /
-      1000.0;
-  const double efficiency = f1.mean_gflops / peak_gflops;
-  EXPECT_GT(efficiency, 0.01);
-  EXPECT_LT(efficiency, 0.10);
-}
-
-TEST_F(PaperClaims, UtilizationIsModerate) {
-  // Paper: 64% average, 95% best day.
-  const auto f1 = sim_->fig1();
-  EXPECT_GT(f1.mean_utilization, 0.35);
-  EXPECT_LT(f1.mean_utilization, 0.85);
-  EXPECT_GT(f1.max_daily_utilization, f1.mean_utilization);
-}
-
-TEST_F(PaperClaims, NoPerformanceTrendOverTime) {
-  // "the Figure shows no obvious trend toward increased performance".
-  const auto f1 = sim_->fig1();
-  // Slope over the campaign stays below ~1.5% of the mean per day.
-  EXPECT_LT(std::abs(f1.trend_slope), 0.015 * f1.mean_gflops);
-}
-
-TEST_F(PaperClaims, SixteenNodesIsTheMostPopularChoice) {
-  EXPECT_EQ(sim_->fig2().most_popular_nodes, 16);
-}
-
-TEST_F(PaperClaims, ModerateParallelismDominatesWalltime) {
-  // "moderately parallel 16, 32, and 8-node jobs consumed most of the
-  // wall clock time".
-  const auto f2 = sim_->fig2();
-  double total = 0.0, moderate = 0.0;
-  for (const auto& b : f2.bins) {
-    total += b.total_walltime_s;
-    if (b.nodes == 8 || b.nodes == 16 || b.nodes == 32) {
-      moderate += b.total_walltime_s;
+class ShapeClaim : public PaperClaims {
+ public:
+  explicit ShapeClaim(const Claim& claim) : claim_(claim) {}
+  void TestBody() override {
+    if (claim_.paper_scale_only) {
+      GTEST_SKIP() << claim_.id << " holds at paper scale only; bench_paper "
+                   << "checks it there";
     }
+    const ClaimResult r = evaluate(claim_, *sim_);
+    EXPECT_TRUE(r.pass) << claim_.id << " measured " << r.measured
+                        << "; the paper: " << claim_.wording;
   }
-  EXPECT_GT(moderate / total, 0.5);
-}
 
-TEST_F(PaperClaims, PerNodeRateDegradesBeyondTheWideThreshold) {
-  // Figure 3: per-node performance collapses beyond the drain threshold
-  // (64 nodes on the real machine; scaled here).
-  const auto f3 = sim_->fig3();
-  if (f3.mean_beyond_64 > 0.0) {
-    EXPECT_LT(f3.mean_beyond_64, 0.6 * f3.mean_upto_64);
-  }
-  // The wide threshold on the scaled machine is 24 nodes.
-  double narrow = 0.0, wide = 0.0;
-  int narrow_n = 0, wide_n = 0;
-  for (const auto& b : f3.bins) {
-    if (b.nodes <= 24) {
-      narrow += b.mean_mflops_per_node * b.jobs;
-      narrow_n += b.jobs;
+ private:
+  const Claim& claim_;
+};
+
+// The shape rows that were hand-written tests before the table existed
+// keep those tests' names.
+const std::map<std::string_view, std::string_view> kTestNames = {
+    {"fig1.peak_fraction", "SystemRunsAtAFewPercentOfPeak"},
+    {"fig1.utilization_moderate", "UtilizationIsModerate"},
+    {"fig1.trend_slope", "NoPerformanceTrendOverTime"},
+    {"fig2.most_popular_nodes", "SixteenNodesIsTheMostPopularChoice"},
+    {"fig2.moderate_walltime_share", "ModerateParallelismDominatesWalltime"},
+    {"fig3.wide_rate_collapses", "PerNodeRateDegradesBeyondTheWideThreshold"},
+    {"fig4.trend_slope", "SixteenNodeHistoryIsFlatButNoisy"},
+    {"fig5.correlation", "SystemInterventionAnticorrelatesWithPerformance"},
+    {"table3.mflops_div", "DivideRowsAreZeroDespiteDividesExecuting"},
+    {"table3.fpu0_carries_more", "Fpu0CarriesMoreInstructionsThanFpu1"},
+    {"table3.fxu_carries_memory", "FxuCarriesTheMemoryTraffic"},
+    {"table4.hierarchy_ordering", "MemoryHierarchyRatiosInTheTable4Band"},
+    {"summary.batch_exceeds_elapsed", "BatchAverageExceedsElapsedAverage"},
+    {"table2.mops_above_mips", "MopsRunSlightlyAboveMips"},
+    {"summary.matmul_near_peak", "SingleProcessorCalibrationPeak"},
+};
+
+// "fig2.walltime_beyond_64" -> "Fig2WalltimeBeyond64".
+std::string test_name(const Claim& c) {
+  const auto it = kTestNames.find(c.id);
+  if (it != kTestNames.end()) return std::string(it->second);
+  std::string name;
+  bool upper = true;
+  for (char ch : c.id) {
+    if (ch == '.' || ch == '_') {
+      upper = true;
     } else {
-      wide += b.mean_mflops_per_node * b.jobs;
-      wide_n += b.jobs;
+      name += upper ? static_cast<char>(std::toupper(ch)) : ch;
+      upper = false;
     }
   }
-  if (wide_n > 0) {
-    EXPECT_LT(wide / wide_n, narrow / narrow_n);
+  return name;
+}
+
+// One PaperClaims test per shape row, registered before main runs.
+[[maybe_unused]] const bool kShapeTestsRegistered = [] {
+  for (const Claim& c : claims()) {
+    if (c.kind != ClaimKind::kShape) continue;
+    // No value parameter: gtest_discover_tests would append it to the
+    // ctest name.  The claim id is in the failure message instead.
+    ::testing::RegisterTest("PaperClaims", test_name(c).c_str(), nullptr,
+                            nullptr, __FILE__, __LINE__,
+                            [&c]() -> PaperClaims* {
+                              return new ShapeClaim(c);
+                            });
+  }
+  return true;
+}();
+
+TEST(FidelityTable, IdsAreUnique) {
+  std::set<std::string> seen;
+  for (const Claim& c : claims()) {
+    EXPECT_TRUE(seen.insert(c.id).second) << c.id;
   }
 }
 
-TEST_F(PaperClaims, SixteenNodeHistoryIsFlatButNoisy) {
-  // Figure 4: large spread, no improvement trend.
-  const auto f4 = sim_->fig4(16);
-  ASSERT_GT(f4.job_mflops.size(), 30u);
-  EXPECT_GT(f4.stddev, 0.2 * f4.mean);  // wide spread
-  // Trend: change across the whole history is small vs the mean.
-  const double total_drift =
-      f4.trend_slope * static_cast<double>(f4.job_mflops.size());
-  EXPECT_LT(std::abs(total_drift), 0.8 * f4.mean);
+TEST(FidelityTable, EveryArtifactIsARegisteredExperiment) {
+  for (const Claim& c : claims()) {
+    EXPECT_NE(find_experiment(c.artifact()), nullptr) << c.id;
+  }
 }
 
-TEST_F(PaperClaims, SystemInterventionAnticorrelatesWithPerformance) {
-  // Figure 5: days with high system/user FXU ratios perform poorly.
-  const auto f5 = sim_->fig5();
-  ASSERT_GT(f5.mflops_per_node.size(), 10u);
-  EXPECT_LT(f5.correlation, -0.05);
+TEST(FidelityTable, EveryDeviationHasAReason) {
+  for (const Claim& c : claims()) {
+    if (c.kind != ClaimKind::kDeviation) continue;
+    EXPECT_FALSE(c.reason.empty()) << c.id;
+    EXPECT_NE(c.pinned, 0.0) << c.id;
+  }
 }
 
-TEST_F(PaperClaims, DivideRowsAreZeroDespiteDividesExecuting) {
-  // The monitor bug: Table 3 shows Mflops-div = 0.0 even though ~3% of
-  // the workload's operations are divides.
-  const auto t3 = sim_->table3();
-  for (const auto& row : t3.rows) {
-    if (row.label == "Mflops-div") {
-      EXPECT_EQ(row.avg, 0.0);
-      EXPECT_EQ(row.day, 0.0);
+TEST(FidelityTable, NoBandRowHasAZeroPaperValue) {
+  // A paper value of zero has no relative band: such a claim is a shape.
+  for (const Claim& c : claims()) {
+    if (c.kind == ClaimKind::kBand) {
+      EXPECT_NE(c.paper, 0.0) << c.id;
     }
   }
 }
 
-TEST_F(PaperClaims, Fpu0CarriesMoreInstructionsThanFpu1) {
-  // Table 3 / section 5: the dependence-limited workload loads FPU0
-  // (ratio ~1.7 on the real machine).
-  const auto t3 = sim_->table3();
-  double fpu0 = 0.0, fpu1 = 0.0;
-  for (const auto& row : t3.rows) {
-    if (row.label == "Mips-Floating Point (Unit 0)") fpu0 = row.avg;
-    if (row.label == "Mips-Floating Point (Unit 1)") fpu1 = row.avg;
+TEST(FidelityTable, EveryRowCanBeChecked) {
+  for (const Claim& c : claims()) {
+    EXPECT_TRUE(static_cast<bool>(c.measure)) << c.id;
+    EXPECT_EQ(static_cast<bool>(c.holds), c.kind == ClaimKind::kShape)
+        << c.id;
+    EXPECT_TRUE(!c.paper_scale_only || c.kind == ClaimKind::kShape) << c.id;
   }
-  EXPECT_GT(fpu0, 1.1 * fpu1);
-  EXPECT_LT(fpu0, 4.0 * fpu1);
 }
 
-TEST_F(PaperClaims, FxuCarriesTheMemoryTraffic) {
-  // FXU instructions (memory-dominated) exceed FPU instructions, and the
-  // workload's flops/memref sits near the paper's 0.5-1.0 band.
-  const auto t3 = sim_->table3();
-  double fxu = 0.0, fpu = 0.0, mflops = 0.0;
-  for (const auto& row : t3.rows) {
-    if (row.label == "Mips-Fixed Point Unit (Total)") fxu = row.avg;
-    if (row.label == "Mips-Floating Point (Total)") fpu = row.avg;
-    if (row.label == "Mflops-All") mflops = row.avg;
+TEST(FidelityTable, NamedTestsMapToShapeRows) {
+  for (const auto& [id, name] : kTestNames) {
+    bool found = false;
+    for (const Claim& c : claims()) {
+      found |= c.id == id && c.kind == ClaimKind::kShape;
+    }
+    EXPECT_TRUE(found) << name << " -> " << id;
   }
-  EXPECT_GT(fxu, fpu);
-  const double flops_per_memref = mflops / fxu;
-  EXPECT_GT(flops_per_memref, 0.3);
-  EXPECT_LT(flops_per_memref, 1.2);
-}
-
-TEST_F(PaperClaims, MemoryHierarchyRatiosInTheTable4Band) {
-  const auto t4 = sim_->table4();
-  // Workload ~1% cache, ~0.1-0.3% TLB; sequential 3.1%, 0.2%.
-  EXPECT_GT(t4.nas_workload.cache_miss_ratio, 0.004);
-  EXPECT_LT(t4.nas_workload.cache_miss_ratio, 0.03);
-  EXPECT_GT(t4.nas_workload.tlb_miss_ratio, 0.0002);
-  EXPECT_LT(t4.nas_workload.tlb_miss_ratio, 0.005);
-  EXPECT_LT(t4.nas_workload.cache_miss_ratio,
-            t4.sequential.cache_miss_ratio);
-  EXPECT_LT(t4.npb_bt.tlb_miss_ratio, t4.nas_workload.tlb_miss_ratio);
-  EXPECT_GT(t4.npb_bt.mflops_per_cpu, t4.nas_workload.mflops_per_cpu);
-}
-
-TEST_F(PaperClaims, BatchAverageExceedsElapsedAverage) {
-  // Batch jobs (>600 s) average more Mflops/node than the machine's
-  // elapsed-time average (which includes idle): 19 vs ~9 in the paper.
-  const double batch =
-      sim_->campaign().jobs.time_weighted_mflops_per_node();
-  const auto f1 = sim_->fig1();
-  const double elapsed_per_node =
-      f1.mean_gflops * 1000.0 / sim_->campaign().num_nodes;
-  EXPECT_GT(batch, elapsed_per_node);
-}
-
-TEST_F(PaperClaims, MopsRunSlightlyAboveMips) {
-  const auto t2 = sim_->table2();
-  double mips = 0.0, mops = 0.0;
-  for (const auto& row : t2.rows) {
-    if (row.label == "Mips") mips = row.avg;
-    if (row.label == "Mops") mops = row.avg;
-  }
-  EXPECT_GT(mops, mips);
-  EXPECT_LT(mops, 1.25 * mips);
-}
-
-TEST_F(PaperClaims, SingleProcessorCalibrationPeak) {
-  // "A single processor matrix multiply ... performs at approximately
-  // 240 Mflops", about 90% of the 267 Mflops peak.
-  const auto r = sim_->run_kernel(workload::blocked_matmul());
-  EXPECT_GT(r.mflops(), 0.8 * util::MachineClock::kPeakMflopsPerNode);
-  EXPECT_LT(r.mflops(), util::MachineClock::kPeakMflopsPerNode);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/workload/checkpoint.hpp"
 #include "src/workload/kernels.hpp"
 
 namespace p2sim::core {
@@ -17,6 +18,37 @@ TEST(Sp2Config, SmallScalesTheMachine) {
   for (int n : cfg.driver.jobgen.node_choices) EXPECT_LE(n, 32);
   // The day filter keeps the paper's per-node severity.
   EXPECT_NEAR(cfg.table_min_gflops, 2.0 * 32 / 144.0, 1e-12);
+}
+
+TEST(Sp2Config, SmallAtPaperScaleIsTheDefault) {
+  // `run_experiment --days 270 --nodes 144` runs the paper's campaign.
+  const Sp2Config small = Sp2Config::small(270, 144);
+  const Sp2Config paper;
+  EXPECT_EQ(workload::config_fingerprint(small.driver),
+            workload::config_fingerprint(paper.driver));
+  EXPECT_EQ(small.driver.jobs_per_day, paper.driver.jobs_per_day);
+  EXPECT_EQ(small.driver.jobgen.node_choices,
+            paper.driver.jobgen.node_choices);
+  EXPECT_EQ(small.driver.jobgen.node_weights,
+            paper.driver.jobgen.node_weights);
+  EXPECT_EQ(small.driver.sched.drain_threshold_nodes,
+            paper.driver.sched.drain_threshold_nodes);
+  EXPECT_EQ(small.table_min_gflops, paper.table_min_gflops);
+  EXPECT_EQ(small.table_min_coverage, paper.table_min_coverage);
+}
+
+TEST(Sp2Simulation, FaultedTwinKeepsTheCampaignButNotItsOutputs) {
+  Sp2Config cfg = quick();
+  cfg.archive() = "caller.p2a";
+  cfg.checkpoint().dir = "caller_ck";
+  Sp2Simulation sim(cfg);
+  Sp2Simulation& twin = sim.faulted();
+  EXPECT_EQ(&twin, &sim.faulted());  // built once
+  EXPECT_TRUE(twin.config().faults().enabled);
+  EXPECT_EQ(twin.config().driver.days, cfg.driver.days);
+  EXPECT_EQ(twin.config().driver.num_nodes, cfg.driver.num_nodes);
+  EXPECT_TRUE(twin.config().archive().empty());
+  EXPECT_TRUE(twin.config().checkpoint().dir.empty());
 }
 
 TEST(Sp2Simulation, LazyCampaignIsConsistent) {
