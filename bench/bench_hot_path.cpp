@@ -57,6 +57,15 @@ cluster::ActivityProfile busy_profile() {
   return act;
 }
 
+/// busy_profile without paging: the steady state of most busy intervals,
+/// where the batched path multiplies its slice replay out in closed form
+/// (busy_profile pages, so its timings measure the slice-loop fallback).
+cluster::ActivityProfile steady_busy_profile() {
+  cluster::ActivityProfile act = busy_profile();
+  act.page_faults_per_s = 0.0;
+  return act;
+}
+
 /// Intervals per second for one accrual path: repeated 900 s busy advances
 /// (the paper's collection quantum) under a measured signature.
 double intervals_per_second(bool reference, const power2::EventSignature& sig,
@@ -259,6 +268,19 @@ void BM_AdvanceBatched(benchmark::State& state) {
   for (auto _ : state) node.advance(900.0, &sig, act);
 }
 BENCHMARK(BM_AdvanceBatched);
+
+void BM_AdvanceBatchedSteady(benchmark::State& state) {
+  cluster::Node node(1);
+  power2::Power2Core core;
+  const power2::EventSignature sig = power2::measure_signature(
+      core, bench_kernel("bm_steady", 1 << 18, 8));
+  const cluster::ActivityProfile act = steady_busy_profile();
+  for (auto _ : state) {
+    node.advance(900.0, &sig, act);
+    benchmark::DoNotOptimize(node.quad_total());
+  }
+}
+BENCHMARK(BM_AdvanceBatchedSteady);
 
 void BM_SignatureScaleInto(benchmark::State& state) {
   power2::Power2Core core;

@@ -11,6 +11,17 @@
 namespace p2sim::cluster {
 namespace {
 
+// The busy memo compares signatures with memcmp: every byte must be a rate.
+static_assert(sizeof(power2::EventSignature) ==
+                  (1 + power2::kScaledFieldCount) * sizeof(double),
+              "EventSignature must be padding-free doubles");
+
+/// Bitwise double equality: -0.0 differs from 0.0 and a NaN matches its
+/// own bits, as the memo and fixed-point tests need.
+P2SIM_PAR_SAFE bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 /// Splits an accumulated fractional count into a whole number plus residual.
 P2SIM_PAR_SAFE std::uint64_t take_whole(double& residual) {
   const double whole = std::floor(residual);
@@ -49,6 +60,9 @@ void Node::reboot() { up_ = true; }
 
 void Node::advance(double seconds, const power2::EventSignature* sig,
                    const ActivityProfile& profile) {
+  if (!std::isfinite(seconds)) {
+    throw std::invalid_argument("Node::advance: seconds must be finite");
+  }
   if (!up_) return;  // a down node executes nothing and counts nothing
   if (seconds <= 0.0) return;
   check_profile(sig, profile);
@@ -80,8 +94,10 @@ void Node::advance_reference(double seconds, const power2::EventSignature* sig,
 // slice is arithmetically identical: the same `rounded(rate * cycles)` per
 // field, the same wait-state truncation.  So the user-mode total is
 //     n * scale(full_slice) + scale(remainder)
-// computed with two scales instead of n + 1.  The 32-bit banks only ever
-// see sums mod 2^32, and each reference slice advances every mapped
+// computed with two scales instead of n + 1 — one when the remainder is
+// itself a full slice, as in every 15-minute interval — and replayed from
+// the busy memo while a node keeps running one job.  The 32-bit banks only
+// ever see sums mod 2^32, and each reference slice advances every mapped
 // counter by < 2^32 (the ctor's wrap bound on cycles; physical rates are
 // <= a few per cycle), so each per-slice wrap_delta equals the true
 // increment and the summed 64-bit totals handed to ExtendedCounters::
@@ -92,7 +108,11 @@ void Node::advance_reference(double seconds, const power2::EventSignature* sig,
 // the carry in locals and adds per-slice increments computed once per
 // slice length: each increment is the same product apply_slice forms, and
 // each chain runs the same IEEE operations in the same order, so the
-// result is bit-identical by construction.
+// result is bit-identical by construction.  Without paging, the residuals
+// usually settle after one slice; from then on every full slice repeats
+// the same whole counts, and the DMA chains have an exact modular closed
+// form (DmaEngine::replay_slices), so the rest of the run is multiplied
+// out instead of replayed.
 void Node::advance_batched(double seconds, const power2::EventSignature* sig,
                            const ActivityProfile& profile) {
   const bool quiet = sig == nullptr && profile.page_faults_per_s == 0.0 &&
@@ -101,8 +121,7 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
                      profile.disk_read_bytes_per_s == 0.0 &&
                      profile.disk_write_bytes_per_s == 0.0;
   const Carry carry_in = carry();
-  if (quiet && quiet_.valid &&
-      std::memcmp(&quiet_.seconds, &seconds, sizeof seconds) == 0 &&
+  if (quiet && quiet_.valid && same_bits(quiet_.seconds, seconds) &&
       std::memcmp(&quiet_.in, &carry_in, sizeof carry_in) == 0) {
     set_carry(quiet_.out);
     monitor_.accumulate_adds(quiet_.user_adds, hpm::PrivilegeMode::kUser);
@@ -120,36 +139,57 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
     ++n_full;
   }
   const double rem = left;  // in (0, max_sample_slice_s]
+  // A remainder equal to a full slice is one: n_same slices share the full
+  // slice's increments, and only a shorter remainder needs its own.
+  const bool rem_is_full = same_bits(rem, max_slice);
+  const std::uint64_t n_same = n_full + (rem_is_full ? 1 : 0);
 
   hpm::CounterAdds user_adds{};
   hpm::CounterAdds sys_adds{};
 
   // --- user-mode work, closed form ---
   if (sig != nullptr && profile.compute_fraction > 0.0) {
-    const auto slice_user = [&](double slice) {
-      const double cycles =
-          slice * cfg_.clock_hz * std::min(profile.compute_fraction, 1.0);
-      P2SIM_INVARIANT(cycles < 4294967296.0,
-                      "slice cycles must stay below one counter wrap");
-      power2::EventCounts ev = sig->scale(cycles);
-      ev.comm_wait_cycles = static_cast<std::uint64_t>(
-          slice * cfg_.clock_hz * std::min(profile.comm_wait_fraction, 1.0));
-      ev.io_wait_cycles = static_cast<std::uint64_t>(
-          slice * cfg_.clock_hz * std::min(profile.io_wait_fraction, 1.0));
-      return ev;
-    };
-    power2::EventCounts user_total;
-    if (n_full > 0) {
-      const power2::EventCounts full = slice_user(max_slice);
-      user_total.cycles = full.cycles * n_full;
-      for (const power2::ScaledField& f : power2::kScaledFields)
-        user_total.*(f.count) = (full.*(f.count)) * n_full;
-      user_total.comm_wait_cycles = full.comm_wait_cycles * n_full;
-      user_total.io_wait_cycles = full.io_wait_cycles * n_full;
+    const bool hit =
+        busy_.valid && same_bits(busy_.seconds, seconds) &&
+        same_bits(busy_.compute_fraction, profile.compute_fraction) &&
+        same_bits(busy_.comm_wait_fraction, profile.comm_wait_fraction) &&
+        same_bits(busy_.io_wait_fraction, profile.io_wait_fraction) &&
+        std::memcmp(&busy_.sig, sig, sizeof *sig) == 0;
+    if (!hit) {
+      const auto slice_user = [&](double slice) {
+        const double cycles =
+            slice * cfg_.clock_hz * std::min(profile.compute_fraction, 1.0);
+        P2SIM_INVARIANT(cycles < 4294967296.0,
+                        "slice cycles must stay below one counter wrap");
+        power2::EventCounts ev = sig->scale(cycles);
+        ev.comm_wait_cycles = static_cast<std::uint64_t>(
+            slice * cfg_.clock_hz * std::min(profile.comm_wait_fraction, 1.0));
+        ev.io_wait_cycles = static_cast<std::uint64_t>(
+            slice * cfg_.clock_hz * std::min(profile.io_wait_fraction, 1.0));
+        return ev;
+      };
+      power2::EventCounts user_total;
+      if (n_same > 0) {
+        const power2::EventCounts full = slice_user(max_slice);
+        user_total.cycles = full.cycles * n_same;
+        for (const power2::ScaledField& f : power2::kScaledFields)
+          user_total.*(f.count) = (full.*(f.count)) * n_same;
+        user_total.comm_wait_cycles = full.comm_wait_cycles * n_same;
+        user_total.io_wait_cycles = full.io_wait_cycles * n_same;
+      }
+      if (!rem_is_full) user_total += slice_user(rem);
+      busy_.valid = true;
+      busy_.seconds = seconds;
+      busy_.compute_fraction = profile.compute_fraction;
+      busy_.comm_wait_fraction = profile.comm_wait_fraction;
+      busy_.io_wait_fraction = profile.io_wait_fraction;
+      busy_.sig = *sig;
+      busy_.user_adds = {};
+      monitor_.map_events(user_total, busy_.user_adds);
+      busy_.quad = user_total.quad_inst;
     }
-    user_total += slice_user(rem);
-    monitor_.map_events(user_total, user_adds);
-    quad_total_ += user_total.quad_inst;
+    user_adds = busy_.user_adds;
+    quad_total_ += busy_.quad;
   }
 
   // --- system-mode work + DMA: replay only the fp carry state per slice ---
@@ -191,7 +231,6 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
     return c;
   };
   const SliceCarry full = increments(max_slice);
-  const SliceCarry last = increments(rem);
 
   Carry c = carry_in;
   const double per_transfer = dma_.config().avg_transfer_bytes();
@@ -215,8 +254,33 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
     sys_total.cycles += take_whole(c.fault_cycles);
     DmaEngine::replay_slice(c.dma, inc.traffic, per_transfer, io);
   };
-  for (std::uint64_t i = 0; i < n_full; ++i) replay(full);
-  replay(last);
+  std::uint64_t replayed = 0;
+  if (!faulting && n_same >= 3) {
+    // Slices 1 and 2 as the loop runs them.  If slice 2 leaves the
+    // residuals bitwise where slice 1 left them, they are at a fixed point:
+    // every later full slice starts from the same bits, so it repeats
+    // slice 2's whole counts.
+    replay(full);
+    const Carry settled = c;
+    const power2::EventCounts before = sys_total;
+    replay(full);
+    replayed = 2;
+    const std::uint64_t m = n_same - 2;
+    if (same_bits(c.fault_fxu, settled.fault_fxu) &&
+        same_bits(c.fault_icu, settled.fault_icu) &&
+        same_bits(c.fault_cycles, settled.fault_cycles) &&
+        same_bits(c.noise_fxu, settled.noise_fxu) &&
+        same_bits(c.noise_icu, settled.noise_icu) &&
+        DmaEngine::replay_slices(c.dma, full.traffic, per_transfer, m, io)) {
+      sys_total.fxu0_inst += (sys_total.fxu0_inst - before.fxu0_inst) * m;
+      sys_total.fxu1_inst += (sys_total.fxu1_inst - before.fxu1_inst) * m;
+      sys_total.icu_type1 += (sys_total.icu_type1 - before.icu_type1) * m;
+      sys_total.cycles += (sys_total.cycles - before.cycles) * m;
+      replayed = n_same;
+    }
+  }
+  for (std::uint64_t i = replayed; i < n_same; ++i) replay(full);
+  if (!rem_is_full) replay(increments(rem));
   set_carry(c);
 
   monitor_.map_events(sys_total, sys_adds);

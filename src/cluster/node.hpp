@@ -71,6 +71,10 @@ class Node {
   /// Advances `seconds` of wall time running user work described by `sig`
   /// and `profile`.  Pass sig == nullptr for a purely idle/system slice.
   ///
+  /// `seconds` must be finite in every build (std::invalid_argument
+  /// otherwise): an infinite slice would never finish its slice loop and a
+  /// NaN one would write garbage counts.
+  ///
   /// Contract (checked under P2SIM_CHECKS): every ActivityProfile fraction
   /// must be finite and in [0, 1], and every rate finite and >= 0 — a NaN
   /// rate would silently poison the residual accumulators.  Wait-state
@@ -187,6 +191,25 @@ class Node {
     hpm::CounterAdds sys_adds{};
   };
 
+  /// Busy reuse.  The user-mode half of a busy advance — the signature
+  /// scale and its counter mapping — is a pure function of the signature's
+  /// values, the three fractions it reads and the advance's length; the
+  /// node config fixes everything else.  advance_batched keeps the last
+  /// such result and replays it when the next busy call's inputs match bit
+  /// for bit (a job's node runs whole intervals of one kernel at one mix).
+  /// The key holds the signature by value: a caller may reuse one address
+  /// for different rates.  Pure, so never invalidated and not checkpointed.
+  struct BusyMemo {
+    bool valid = false;
+    double seconds = 0.0;
+    double compute_fraction = 0.0;
+    double comm_wait_fraction = 0.0;
+    double io_wait_fraction = 0.0;
+    power2::EventSignature sig{};
+    hpm::CounterAdds user_adds{};
+    std::uint64_t quad = 0;
+  };
+
   int id_;
   NodeConfig cfg_;
   hpm::PerformanceMonitor monitor_;
@@ -202,6 +225,7 @@ class Node {
   double resid_noise_fxu_ = 0.0;
   double resid_noise_icu_ = 0.0;
   QuietMemo quiet_{};
+  BusyMemo busy_{};
 };
 
 }  // namespace p2sim::cluster

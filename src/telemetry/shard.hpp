@@ -14,9 +14,10 @@
 // The fields are relaxed atomics so a live scrape can *also* read the
 // shards mid-interval (merge-on-read: the monitoring service sums the
 // published registry counters plus the unfolded shard residue) without a
-// single lock on the worker's increment path.  Atomicity here is only for
-// cross-thread visibility — the values a lane writes are deterministic,
-// and the exports fold them in fixed serial order exactly as before.
+// single lock-prefixed instruction on the worker's increment path.
+// Atomicity here is only for cross-thread visibility — the values a lane
+// writes are deterministic, and the exports fold them in fixed serial
+// order exactly as before.
 #pragma once
 
 #include <array>
@@ -56,14 +57,17 @@ struct MetricShard {
     return down_node_intervals.load(std::memory_order_relaxed);
   }
 
+  // Each shard has a single writer, so an add is a relaxed load and store
+  // rather than a locked read-modify-write: no other thread's increment
+  // can fall between them, and a concurrent reader sees either value.
   void add_busy(std::uint64_t n = 1) {
-    busy_node_intervals.fetch_add(n, std::memory_order_relaxed);
+    busy_node_intervals.store(busy() + n, std::memory_order_relaxed);
   }
   void add_idle(std::uint64_t n = 1) {
-    idle_node_intervals.fetch_add(n, std::memory_order_relaxed);
+    idle_node_intervals.store(idle() + n, std::memory_order_relaxed);
   }
   void add_down(std::uint64_t n = 1) {
-    down_node_intervals.fetch_add(n, std::memory_order_relaxed);
+    down_node_intervals.store(down() + n, std::memory_order_relaxed);
   }
 
   /// Folds `other` into this shard.  The driver calls this in ascending

@@ -614,18 +614,21 @@ void WorkloadDriver::phase_nfs_grant(CampaignState& st) {
 void WorkloadDriver::phase_lane_pipeline(CampaignState& st) {
   // Serial prologue: write each lane's work order for the whole pass.  The
   // activity mix and the job's absolute end time are pure functions of the
-  // job and the NFS grant; each lane derives its own per-interval busy
-  // split from end_s.
+  // job and the NFS grant, so each running job's mix is formed once and
+  // copied to the lanes it holds; each lane derives its own per-interval
+  // busy split from end_s.
   for (int n = 0; n < cfg_.num_nodes; ++n) {
-    NodeLane& lane = st.lane(n);
-    const Running* r = st.node_job[static_cast<std::size_t>(n)];
-    if (r == nullptr) {
-      lane.step = LaneStep{};
-    } else {
-      lane.step.sig = r->sig;
-      lane.step.activity = activity_for(*r, st.grant);
-      lane.step.end_s = r->end_s;
+    if (st.node_job[static_cast<std::size_t>(n)] == nullptr) {
+      st.lane(n).step = LaneStep{};
     }
+  }
+  for (const auto& [id, r] : st.running) {
+    (void)id;
+    LaneStep step;
+    step.sig = r.sig;
+    step.activity = activity_for(r, st.grant);
+    step.end_s = r.end_s;
+    for (int n : r.nodes) st.lane(n).step = step;
   }
 
   // The parallel region: one lane per index, no cross-lane state.  Each
@@ -679,21 +682,22 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
     // sum is the same no matter where passes break.
     st.result.total_busy_node_seconds += st.busy_s[k];
   }
-  // One shard merge per pass, through the same pairwise tree the scrape
-  // path uses (telemetry::tree_fold_shards), folded into the registry via
-  // the shard field table — the single registration site for the
-  // p2sim_lane_* counters.  Counter sums are pass-split invariant.
-  telemetry::MetricShard pass_shard = telemetry::tree_fold_shards(
-      lanes_n, [&st](std::size_t i) -> const telemetry::MetricShard& {
-        return st.lanes[i].shard;
-      });
-  for (NodeLane& lane : st.lanes) lane.shard.reset();
+  // With a session, one shard merge per pass, through the same pairwise
+  // tree the scrape path uses (telemetry::tree_fold_shards), folded into
+  // the registry via the shard field table — the single registration site
+  // for the p2sim_lane_* counters.  Counter sums are pass-split invariant.
+  // Without one nobody reads the merge; the shards are reset either way.
   if (tel != nullptr) {
+    const telemetry::MetricShard pass_shard = telemetry::tree_fold_shards(
+        lanes_n, [&st](std::size_t i) -> const telemetry::MetricShard& {
+          return st.lanes[i].shard;
+        });
     for (const telemetry::MetricShard::Field& f :
          telemetry::MetricShard::fields()) {
       tel->registry.counter(f.name, f.help).inc((pass_shard.*f.value)());
     }
   }
+  for (NodeLane& lane : st.lanes) lane.shard.reset();
 }
 
 void WorkloadDriver::phase_epilogues(CampaignState& st) {

@@ -13,6 +13,7 @@
 #include "src/cluster/node.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -417,6 +418,158 @@ TEST(AccrualEquivalence, IdleRunsInterleavedWithRandomOps) {
     }
     p.idle(900.0, 3 + static_cast<int>(rng.below(4)));
   }
+}
+
+// --- busy reuse and the steady-state closed form ---------------------------
+//
+// Without paging, a busy advance of three or more full slices replays two
+// slices, then multiplies the rest out when the residuals have settled and
+// both DMA chains fit DmaEngine::replay_slices; the user-mode scale of a
+// repeated (signature, mix, length) comes from the busy memo.  These
+// scenarios drive both through their edges.
+
+/// A busy profile that does not page, with the slice traffic set directly
+/// (bytes per slice = rate * slice length).
+ActivityProfile steady_profile(util::Xoshiro256StarStar& rng) {
+  ActivityProfile a = random_profile(rng);
+  a.page_faults_per_s = 0.0;
+  return a;
+}
+
+void steady_scenarios(const NodeConfig& cfg, std::uint64_t seed) {
+  util::Xoshiro256StarStar rng(seed);
+  const power2::EventSignature sig = random_signature(rng);
+  const ActivityProfile act = steady_profile(rng);
+  const double max = cfg.max_sample_slice_s;
+  Pair p(cfg);
+
+  // Whole-slice intervals of 3..64 slices, each length twice in a row so
+  // the second call hits the memo from a different carry.
+  for (int k = 3; k <= 64 && !testing::Test::HasFailure(); ++k) {
+    p.busy(max * k, sig, act);
+    p.busy(max * k, sig, act);
+  }
+  // Runs of 15-minute intervals, a partial remainder, fewer than three
+  // slices, and an idle tail between jobs.
+  for (int round = 0; round < 3; ++round) {
+    const ActivityProfile mix = steady_profile(rng);
+    for (int i = 0; i < 4; ++i) p.busy(900.0, sig, mix);
+    p.busy(900.0 - rng.uniform(1.0, 899.0), sig, mix);
+    p.busy(max * 2.0, sig, mix);
+    p.busy(max * 1.5, sig, mix);
+    p.idle(900.0, 2);
+  }
+  // A paging interval in the middle of a steady run falls back to the loop.
+  ActivityProfile paging = act;
+  paging.page_faults_per_s = 3.0;
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, paging);
+  p.busy(900.0, sig, act);
+
+  // Crash/reboot and checkpoint round trips between busy advances: the
+  // memo survives them (it is pure), the carry does not.
+  p.busy(900.0, sig, act);
+  p.crash_reboot();
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, act);
+  p.restore_fast();
+  p.busy(900.0, sig, act);
+  p.mark();
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, act);
+  p.rewind();
+  p.busy(900.0, sig, act);
+}
+
+TEST(AccrualEquivalence, SteadyBusyDefaultConfig) {
+  steady_scenarios(NodeConfig{}, 0x57EA);
+}
+
+TEST(AccrualEquivalence, SteadyBusyOddSliceLength) {
+  NodeConfig cfg;
+  cfg.max_sample_slice_s = 37.7;
+  steady_scenarios(cfg, 0x57EB);
+}
+
+// eight_word_fraction = 0.3 makes the transfer size 41.6 bytes, off the
+// grid of any realistic slice traffic: every DMA chain takes the loop.
+TEST(AccrualEquivalence, SteadyBusyNonIntegerTransferSize) {
+  NodeConfig cfg;
+  cfg.dma.eight_word_fraction = 0.3;
+  steady_scenarios(cfg, 0x57EC);
+}
+
+TEST(AccrualEquivalence, SteadyBusyWaitStateSelection) {
+  NodeConfig cfg;
+  cfg.monitor.selection = hpm::CounterSelection::kWaitStates;
+  steady_scenarios(cfg, 0x57ED);
+}
+
+// Slice traffic placed exactly at the edges of the closed form's domain.
+// 32 s slices make bytes per slice = rate * 32 exact, so each rate below
+// is the intended per-slice byte count divided by 32.
+TEST(AccrualEquivalence, SteadyBusyDmaEdges) {
+  NodeConfig cfg;
+  cfg.max_sample_slice_s = 32.0;
+  const double per = cfg.dma.avg_transfer_bytes();  // 48
+  util::Xoshiro256StarStar rng(0x57EE);
+  const power2::EventSignature sig = random_signature(rng);
+  const auto rate = [](double bytes_per_slice) { return bytes_per_slice / 32; };
+  const double g24 = std::ldexp(1.0, -28);  // ulp of [2^24, 2^25)
+  const double g25 = std::ldexp(1.0, -27);  // ulp of [2^25, 2^26)
+  struct Edge {
+    const char* what;
+    double read;   // bytes per slice, memory -> device
+    double write;  // bytes per slice, device -> memory
+  };
+  const Edge edges[] = {
+      {"at the binade guard", std::ldexp(1.0, 25) - 4 * per,
+       std::ldexp(1.0, 25) - 4 * per},
+      {"one step past the guard", std::ldexp(1.0, 25) - 4 * per + g24,
+       std::ldexp(1.0, 25) - 4 * per + g24},
+      // From an empty residual the first slice leaves per - g pending.
+      {"residual one grid step below a transfer",
+       3 * std::ldexp(1.0, 24) - g25, 3 * std::ldexp(1.0, 24) - 2 * g25},
+      {"less than a transfer per slice", 20.0, 47.0},
+      {"one idle direction", 5e7, 0.0},
+      {"both directions idle", 0.0, 0.0},
+  };
+  for (const Edge& e : edges) {
+    SCOPED_TRACE(e.what);
+    Pair p(cfg);
+    ActivityProfile act;
+    act.compute_fraction = 0.6;
+    act.comm_send_bytes_per_s = rate(e.read);
+    act.comm_recv_bytes_per_s = rate(e.write);
+    for (int i = 0; i < 5; ++i) p.busy(900.0, sig, act);
+    p.busy(32.0 * 40, sig, act);
+    p.busy(32.0 * 3, sig, act);
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+// One signature object whose rates change between calls: the memo keys on
+// the values, so the second advance must not reuse the first's counts.
+TEST(AccrualEquivalence, BusyMemoKeysOnSignatureValues) {
+  util::Xoshiro256StarStar rng(0x57EF);
+  power2::EventSignature sig = random_signature(rng);
+  ActivityProfile act = steady_profile(rng);
+  Pair p(NodeConfig{});
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, act);
+  sig.fxu0_inst *= 0.5;
+  p.busy(900.0, sig, act);
+  sig.quad_inst = sig.memory_inst;
+  p.busy(900.0, sig, act);
+  sig = random_signature(rng);
+  p.busy(900.0, sig, act);
+  // The same signature under a changed mix or length.
+  act.comm_wait_fraction = std::min(1.0, act.comm_wait_fraction + 0.1);
+  p.busy(900.0, sig, act);
+  act.compute_fraction *= 0.5;
+  p.busy(900.0, sig, act);
+  p.busy(899.0, sig, act);
+  p.busy(900.0, sig, act);
 }
 
 }  // namespace

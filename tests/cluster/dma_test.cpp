@@ -1,6 +1,13 @@
 #include "src/cluster/dma.hpp"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
+
+#include "src/util/rng.hpp"
 
 namespace p2sim::cluster {
 namespace {
@@ -67,6 +74,138 @@ TEST(DmaEngine, PaperMessageRateArithmetic) {
   e.transfer(1.3e6, 0.0);
   EXPECT_NEAR(static_cast<double>(e.harvest().read_transfers), 0.0406e6,
               0.001e6);
+}
+
+// --- replay_slices: the closed form of m paging-free slices ---------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_bytes(const DmaEngine::Bytes& a, const DmaEngine::Bytes& b) {
+  EXPECT_EQ(bits(a.pending_read), bits(b.pending_read));
+  EXPECT_EQ(bits(a.pending_write), bits(b.pending_write));
+  EXPECT_EQ(bits(a.total_read), bits(b.total_read));
+  EXPECT_EQ(bits(a.total_write), bits(b.total_write));
+}
+
+/// Runs replay_slices from `b` and checks it against m replay_slice calls:
+/// bit-identical when it takes the closed form, untouched when it declines.
+/// Returns whether it took the closed form.
+bool closed_form_matches_loop(const DmaEngine::Bytes& b, double read,
+                              double write, double per, std::uint64_t m) {
+  const DmaEngine::SliceTraffic s{0.0, read, write};
+  DmaEngine::Bytes loop = b;
+  DmaEngine::Harvest loop_h;
+  for (std::uint64_t i = 0; i < m; ++i) {
+    DmaEngine::replay_slice(loop, s, per, loop_h);
+  }
+  DmaEngine::Bytes fast = b;
+  DmaEngine::Harvest fast_h;
+  const bool closed = DmaEngine::replay_slices(fast, s, per, m, fast_h);
+  if (closed) {
+    expect_same_bytes(fast, loop);
+    EXPECT_EQ(fast_h.read_transfers, loop_h.read_transfers);
+    EXPECT_EQ(fast_h.write_transfers, loop_h.write_transfers);
+  } else {
+    expect_same_bytes(fast, b);
+    EXPECT_EQ(fast_h.read_transfers, 0u);
+    EXPECT_EQ(fast_h.write_transfers, 0u);
+  }
+  return closed;
+}
+
+/// Pending residual `p` in both directions, lifetime totals set apart.
+DmaEngine::Bytes pending(double p) { return {p, p, 1.5e9, 2.5e9}; }
+
+// Random traffic from the states a slice loop actually reaches (a few
+// slices in from a random residual), over the transfer sizes the config
+// can give, integer or not.
+TEST(DmaEngine, ReplaySlicesMatchesLoopOnRandomChains) {
+  util::Xoshiro256StarStar rng(0xD3A);
+  int closed = 0;
+  int trials = 0;
+  for (double frac : {0.0, 0.25, 0.3, 0.5, 1.0}) {
+    const double per = DmaConfig{.eight_word_fraction = frac}
+                           .avg_transfer_bytes();
+    for (int t = 0; t < 400 && !testing::Test::HasFailure(); ++t) {
+      const double read = rng.uniform(0.0, 2e8);
+      const double write = rng.below(4) == 0 ? 0.0 : rng.uniform(0.0, 2e8);
+      DmaEngine::Bytes b = pending(rng.uniform(0.0, per));
+      DmaEngine::Harvest ignored;
+      const DmaEngine::SliceTraffic s{0.0, read, write};
+      for (std::uint64_t w = rng.below(3); w > 0; --w) {
+        DmaEngine::replay_slice(b, s, per, ignored);
+      }
+      const std::uint64_t m = 1 + rng.below(64);
+      closed += closed_form_matches_loop(b, read, write, per, m) ? 1 : 0;
+      ++trials;
+    }
+  }
+  // Integer transfer sizes put most post-slice states on the grid.
+  EXPECT_GT(closed, trials / 4);
+}
+
+TEST(DmaEngine, ReplaySlicesMatchesLoopAtGridEdges) {
+  const double per = 48.0;
+  const double a = std::ldexp(1.0, 24) + 4096.0;  // g = 2^-28
+  const double g = std::ldexp(1.0, -28);
+  // One grid step and one true ulp below `per`: only the first is on the
+  // grid of a.
+  EXPECT_TRUE(closed_form_matches_loop(pending(per - g), a, a, per, 40));
+  EXPECT_FALSE(closed_form_matches_loop(
+      pending(std::nextafter(per, 0.0)), a, a, per, 40));
+  EXPECT_TRUE(closed_form_matches_loop(pending(0.0), a, a, per, 40));
+  EXPECT_TRUE(closed_form_matches_loop(pending(-0.0), a, a, per, 40));
+  // The binade guard a + 4 per <= 2^(ilogb(a) + 1), at and one step past.
+  const double at_guard = std::ldexp(1.0, 25) - 4.0 * per;
+  EXPECT_TRUE(closed_form_matches_loop(pending(per - g), at_guard, at_guard,
+                                       per, 64));
+  const double past_guard = at_guard + g;
+  EXPECT_FALSE(closed_form_matches_loop(pending(per - g), past_guard,
+                                        past_guard, per, 64));
+  // A slice of about one transfer never fits the binade guard; a slice
+  // just under one transfer is outside a >= per as well.
+  EXPECT_FALSE(closed_form_matches_loop(pending(47.0), per, per, per, 64));
+  EXPECT_FALSE(closed_form_matches_loop(pending(47.0), std::nextafter(per, 0.0),
+                                        per, per, 64));
+  EXPECT_TRUE(closed_form_matches_loop(pending(47.0), 1024.0, 1024.0, per,
+                                       64));
+  // A transfer size off the grid of a (eight_word_fraction = 0.3).
+  const double odd = DmaConfig{.eight_word_fraction = 0.3}.avg_transfer_bytes();
+  EXPECT_FALSE(closed_form_matches_loop(pending(1.0), a, a, odd, 8));
+}
+
+TEST(DmaEngine, ReplaySlicesIdleDirection) {
+  const double per = 48.0;
+  const double a = 5e7;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // No bytes in one direction: the identity while the residual is below
+  // one transfer; add() skips a NaN or negative rate just as it skips 0.
+  for (double idle : {0.0, -3.0, nan}) {
+    EXPECT_TRUE(closed_form_matches_loop({47.5, 12.0, 7.0, 9.0}, a, idle,
+                                         per, 30));
+    EXPECT_TRUE(closed_form_matches_loop({12.0, 47.5, 7.0, 9.0}, idle, a,
+                                         per, 30));
+  }
+  // A residual of a whole transfer or more is harvested once, then idles.
+  EXPECT_FALSE(closed_form_matches_loop({12.0, 96.0, 7.0, 9.0}, a, 0.0, per,
+                                        30));
+  EXPECT_FALSE(closed_form_matches_loop({nan, 0.0, 7.0, 9.0}, a, a, per, 30));
+}
+
+TEST(DmaEngine, ReplaySlicesDeclinesOutsideItsDomain) {
+  const double per = 48.0;
+  DmaEngine::Bytes b = pending(3.0);
+  DmaEngine::Harvest h;
+  // Paging bytes: the slice adds twice per direction.
+  EXPECT_FALSE(DmaEngine::replay_slices(b, {4096.0, 5e7, 5e7}, per, 10, h));
+  // Fewer bytes per slice than one transfer.
+  EXPECT_FALSE(closed_form_matches_loop(b, 20.0, 5e7, per, 10));
+  // m * a would overflow the 64-bit unit count.
+  EXPECT_FALSE(DmaEngine::replay_slices(b, {0.0, 5e7, 5e7}, per,
+                                        std::uint64_t{1} << 40, h));
+  expect_same_bytes(b, pending(3.0));
+  // Zero slices change nothing.
+  EXPECT_TRUE(closed_form_matches_loop(b, 5e7, 5e7, per, 0));
 }
 
 }  // namespace

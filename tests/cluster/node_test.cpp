@@ -224,6 +224,35 @@ TEST(Node, IdleAdvanceLeavesBusySecondsUntouched) {
   EXPECT_EQ(n.busy_seconds(), 120.0);
 }
 
+// Non-finite lengths are rejected in every build, on both accrual paths
+// and whether or not the node is up: an infinite advance would never leave
+// its slice loop, and a NaN one would write 2^63 into the cycle counter.
+TEST(Node, RejectsNonFiniteSeconds) {
+  const power2::EventSignature sig = flat_signature();
+  ActivityProfile act;
+  act.comm_send_bytes_per_s = 1e6;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (bool reference : {false, true}) {
+    NodeConfig cfg;
+    cfg.reference_accrual = reference;
+    Node n(12, cfg);
+    for (double bad : {inf, -inf, nan}) {
+      EXPECT_THROW(n.advance(bad, &sig, act), std::invalid_argument);
+      EXPECT_THROW(n.advance_idle(bad), std::invalid_argument);
+    }
+    EXPECT_EQ(n.totals(), rs2hpm::ModeTotals{});
+    EXPECT_EQ(n.busy_seconds(), 0.0);
+    EXPECT_EQ(n.dma().total_read_bytes(), 0.0);
+    n.crash();
+    EXPECT_THROW(n.advance(inf, &sig, act), std::invalid_argument);
+    EXPECT_THROW(n.advance(nan, &sig, act), std::invalid_argument);
+    n.reboot();
+    n.advance(900.0, &sig, act);  // still usable afterwards
+    EXPECT_EQ(n.busy_seconds(), 900.0);
+  }
+}
+
 // Contract violations the library asserts on when checks are compiled in.
 // Release (NDEBUG) strips the checks, so the death tests only run on the
 // checks-enabled presets (debug, asan-ubsan, tsan).
