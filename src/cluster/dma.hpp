@@ -83,33 +83,71 @@ class DmaEngine {
     total.write_transfers += h.write_transfers;
   }
 
+  /// One direction of the closed form in integer units of the grid `g`:
+  /// the residual `p`, the transfer size `r`, and the `m` slices' bytes
+  /// m·a split once as q0·r + r0.  recurrence() proves the domain and
+  /// builds it; every step() is then m more slices for two integer adds
+  /// and a compare.  `moves` is false for the identity: no slices, or a
+  /// direction with no bytes whose take leaves p unchanged.
+  struct Recurrence {
+    double g = 0.0;
+    std::uint64_t p = 0;
+    std::uint64_t r = 1;
+    std::uint64_t q0 = 0;
+    std::uint64_t r0 = 0;
+    bool moves = false;
+  };
+
+  /// Both directions of `m` paging-free slices of the traffic `s`, set up
+  /// once by steady() and advanced by step().
+  struct Steady {
+    Recurrence read;
+    Recurrence write;
+    double read_bytes = 0.0;
+    double write_bytes = 0.0;
+    std::uint64_t m = 0;
+  };
+
+  /// Sets up `out` for m-slice steps of `s` from the byte state `b`.
+  /// Returns false when `s` pages or either direction's chain is outside
+  /// the domain where the closed form is exact (see recurrence()).
+  P2SIM_PAR_SAFE static bool steady(const Bytes& b, const SliceTraffic& s,
+                                    double per, std::uint64_t m,
+                                    Steady& out) {
+    if (s.page_bytes > 0.0) return false;
+    if (!recurrence(b.pending_read, s.read_bytes, per, m, out.read) ||
+        !recurrence(b.pending_write, s.write_bytes, per, m, out.write)) {
+      return false;
+    }
+    out.read_bytes = s.read_bytes;
+    out.write_bytes = s.write_bytes;
+    out.m = m;
+    return true;
+  }
+
+  /// m more slices of the steady traffic: each direction's residual by its
+  /// recurrence, the lifetime totals slice by slice (they round, so they
+  /// add as the loop adds), the transfers into `total`.  `b` must be the
+  /// state the previous step (or steady()) left.
+  P2SIM_PAR_SAFE static void step(Bytes& b, Steady& st, Harvest& total) {
+    total.read_transfers += step(st.read, b.pending_read);
+    total.write_transfers += step(st.write, b.pending_write);
+    for (std::uint64_t i = 0; i < st.m; ++i) {
+      if (st.read_bytes > 0.0) b.total_read += st.read_bytes;
+      if (st.write_bytes > 0.0) b.total_write += st.write_bytes;
+    }
+  }
+
   /// `m` more slices of replay_slice with the same paging-free traffic `s`,
-  /// in closed form.  Each direction's chain is p <- s - floor(s / per) *
-  /// per with s = p + a, which skip_pending solves for all m slices at
-  /// once; the lifetime totals still add slice by slice, so they round as
-  /// the loop does.  Returns false, leaving `b` and `total` untouched, when
-  /// `s` pages or either direction's chain is outside the domain where the
-  /// closed form is exact — the caller then replays the slices one by one.
+  /// in closed form: steady() then one step().  Returns false, leaving `b`
+  /// and `total` untouched, when steady() declines — the caller then
+  /// replays the slices one by one.
   P2SIM_PAR_SAFE static bool replay_slices(Bytes& b, const SliceTraffic& s,
                                            double per, std::uint64_t m,
                                            Harvest& total) {
-    if (s.page_bytes > 0.0) return false;
-    double read = b.pending_read;
-    double write = b.pending_write;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    if (!skip_pending(read, s.read_bytes, per, m, reads) ||
-        !skip_pending(write, s.write_bytes, per, m, writes)) {
-      return false;
-    }
-    b.pending_read = read;
-    b.pending_write = write;
-    for (std::uint64_t i = 0; i < m; ++i) {
-      if (s.read_bytes > 0.0) b.total_read += s.read_bytes;
-      if (s.write_bytes > 0.0) b.total_write += s.write_bytes;
-    }
-    total.read_transfers += reads;
-    total.write_transfers += writes;
+    Steady st;
+    if (!steady(b, s, per, m, st)) return false;
+    step(b, st, total);
     return true;
   }
 
@@ -147,9 +185,9 @@ class DmaEngine {
       b.total_write += write_bytes;
     }
   }
-  /// One direction of replay_slices: `m` slices that each add `a` bytes
-  /// (skipped unless a > 0, as in add()) to the residual `p` and take whole
-  /// transfers of `per` bytes.  With a > 0 the closed form needs
+  /// The domain proof of one direction: `m` slices that each add `a`
+  /// bytes (skipped unless a > 0, as in add()) to the residual `p` and
+  /// take whole transfers of `per` bytes.  With a > 0 the closed form needs
   ///   a >= per > p >= 0;  p, a and per whole multiples of g, the ulp of a
   ///   (g = 2^k, k = ilogb(a) - 52);  a + 4 per <= 2^(ilogb(a) + 1).
   /// Then with P = p/g, A = a/g, R = per/g every slice's sum (P + A) g,
@@ -157,12 +195,14 @@ class DmaEngine {
   /// the quotient's rounding error (under half an ulp of S/R < 2^53/R, so
   /// under 1/R) cannot lift it to the next integer: the loop computes
   /// q = floor(S/R) and P' = S mod R exactly.  Hence m slices take
-  /// floor((P + mA) / R) transfers and leave ((P + mA) mod R) g pending.
-  /// With no bytes added each slice is one take of p, the identity when
-  /// that take leaves p bitwise unchanged.  Adds the transfers to `n` and
-  /// returns true, or returns false with `p` and `n` untouched.
-  P2SIM_PAR_SAFE static bool skip_pending(double& p, double a, double per,
-                                          std::uint64_t m, std::uint64_t& n) {
+  /// floor((P + mA) / R) transfers and leave ((P + mA) mod R) g pending,
+  /// and P stays on the grid below R, so the domain holds for every later
+  /// step of the same m slices.  With no bytes added each slice is one
+  /// take of p, the identity when that take leaves p bitwise unchanged.
+  /// Fills `rec` and returns true, or returns false.
+  P2SIM_PAR_SAFE static bool recurrence(double p, double a, double per,
+                                        std::uint64_t m, Recurrence& rec) {
+    rec = Recurrence{};
     if (m == 0) return true;
     if (!(a > 0.0)) {
       const double q = std::floor(p / per);
@@ -196,10 +236,24 @@ class DmaEngine {
         m > (~std::uint64_t{0} - pu) / au) {
       return false;
     }
-    const std::uint64_t units = pu + m * au;
-    n += units / ru;
-    p = static_cast<double>(units % ru) * g;
+    rec.g = g;
+    rec.p = pu;
+    rec.r = ru;
+    rec.q0 = m * au / ru;
+    rec.r0 = m * au % ru;
+    rec.moves = true;
     return true;
+  }
+  /// One step of `rec`: P + mA = (q0 + c) R + P' with c = [P + r0 >= R],
+  /// since P and r0 are both below R.  Writes the residual back to `p`
+  /// (exact: P' < R <= 2^53) and returns the transfers taken.
+  P2SIM_PAR_SAFE static std::uint64_t step(Recurrence& rec, double& p) {
+    if (!rec.moves) return 0;
+    rec.p += rec.r0;
+    const std::uint64_t carry = rec.p >= rec.r ? 1 : 0;
+    rec.p -= carry * rec.r;
+    p = static_cast<double>(rec.p) * rec.g;
+    return rec.q0 + carry;
   }
   P2SIM_PAR_SAFE static Harvest take(Bytes& b, double per) {
     Harvest h;

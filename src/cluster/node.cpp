@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 
@@ -21,6 +22,9 @@ static_assert(sizeof(power2::EventSignature) ==
 P2SIM_PAR_SAFE bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
+
+/// The five residual accumulators lead a Carry; the DMA state follows.
+constexpr std::size_t kResidualBytes = 5 * sizeof(double);
 
 /// Splits an accumulated fractional count into a whole number plus residual.
 P2SIM_PAR_SAFE std::uint64_t take_whole(double& residual) {
@@ -54,6 +58,7 @@ void Node::crash() {
   quad_total_ = 0;
   resid_fault_fxu_ = resid_fault_icu_ = resid_fault_cycles_ = 0.0;
   resid_noise_fxu_ = resid_noise_icu_ = 0.0;
+  repeat_.valid = false;
 }
 
 void Node::reboot() { up_ = true; }
@@ -63,6 +68,7 @@ void Node::advance(double seconds, const power2::EventSignature* sig,
   if (!std::isfinite(seconds)) {
     throw std::invalid_argument("Node::advance: seconds must be finite");
   }
+  repeat_.valid = false;
   if (!up_) return;  // a down node executes nothing and counts nothing
   if (seconds <= 0.0) return;
   check_profile(sig, profile);
@@ -110,26 +116,13 @@ void Node::advance_reference(double seconds, const power2::EventSignature* sig,
 // each chain runs the same IEEE operations in the same order, so the
 // result is bit-identical by construction.  Without paging, the residuals
 // usually settle after one slice; from then on every full slice repeats
-// the same whole counts, and the DMA chains have an exact modular closed
-// form (DmaEngine::replay_slices), so the rest of the run is multiplied
-// out instead of replayed.
+// the same whole counts, so the rest of the run is multiplied out instead
+// of replayed.  The DMA chains have an exact modular closed form
+// (DmaEngine::steady), solved for all full slices at once.  A call that
+// ends where it began on the residuals leaves what repeat() needs to
+// replay it whole.
 void Node::advance_batched(double seconds, const power2::EventSignature* sig,
                            const ActivityProfile& profile) {
-  const bool quiet = sig == nullptr && profile.page_faults_per_s == 0.0 &&
-                     profile.comm_send_bytes_per_s == 0.0 &&
-                     profile.comm_recv_bytes_per_s == 0.0 &&
-                     profile.disk_read_bytes_per_s == 0.0 &&
-                     profile.disk_write_bytes_per_s == 0.0;
-  const Carry carry_in = carry();
-  if (quiet && quiet_.valid && same_bits(quiet_.seconds, seconds) &&
-      std::memcmp(&quiet_.in, &carry_in, sizeof carry_in) == 0) {
-    set_carry(quiet_.out);
-    monitor_.accumulate_adds(quiet_.user_adds, hpm::PrivilegeMode::kUser);
-    monitor_.accumulate_adds(quiet_.sys_adds, hpm::PrivilegeMode::kSystem);
-    ext_.accrue(monitor_, quiet_.user_adds, quiet_.sys_adds);
-    return;
-  }
-
   // Replicate the reference slice decomposition bit-for-bit.
   const double max_slice = cfg_.max_sample_slice_s;
   std::uint64_t n_full = 0;
@@ -145,7 +138,7 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
   const std::uint64_t n_same = n_full + (rem_is_full ? 1 : 0);
 
   hpm::CounterAdds user_adds{};
-  hpm::CounterAdds sys_adds{};
+  std::uint64_t quad = 0;
 
   // --- user-mode work, closed form ---
   if (sig != nullptr && profile.compute_fraction > 0.0) {
@@ -189,7 +182,8 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
       busy_.quad = user_total.quad_inst;
     }
     user_adds = busy_.user_adds;
-    quad_total_ += busy_.quad;
+    quad = busy_.quad;
+    quad_total_ += quad;
   }
 
   // --- system-mode work + DMA: replay only the fp carry state per slice ---
@@ -232,11 +226,14 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
   };
   const SliceCarry full = increments(max_slice);
 
+  static_assert(offsetof(Carry, dma) == kResidualBytes,
+                "the residuals must lead the carry");
+  const Carry carry_in = carry();
   Carry c = carry_in;
   const double per_transfer = dma_.config().avg_transfer_bytes();
   DmaEngine::Harvest io;
   power2::EventCounts sys_total;
-  const auto replay = [&](const SliceCarry& inc) {
+  const auto replay_residuals = [&](const SliceCarry& inc) {
     if (faulting) {
       c.fault_fxu += inc.fault_fxu;
       c.fault_icu += inc.fault_icu;
@@ -252,7 +249,22 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
     sys_total.fxu1_inst += f_fxu - f_fxu / 2;
     sys_total.icu_type1 += f_icu;
     sys_total.cycles += take_whole(c.fault_cycles);
+  };
+  const auto replay = [&](const SliceCarry& inc) {
+    replay_residuals(inc);
     DmaEngine::replay_slice(c.dma, inc.traffic, per_transfer, io);
+  };
+  // Without paging the DMA chains never touch the residuals: when both are
+  // inside the closed form's domain, all n_same full slices of them are
+  // solved up front and the full slices below replay the residuals only.
+  // The recurrence is left where the call leaves the chains, for repeat().
+  DmaEngine::Steady dma{};
+  const bool dma_closed =
+      !faulting && n_same > 0 &&
+      DmaEngine::steady(c.dma, full.traffic, per_transfer, n_same, dma);
+  if (dma_closed) DmaEngine::step(c.dma, dma, io);
+  const auto replay_full = [&] {
+    dma_closed ? replay_residuals(full) : replay(full);
   };
   std::uint64_t replayed = 0;
   if (!faulting && n_same >= 3) {
@@ -260,18 +272,15 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
     // residuals bitwise where slice 1 left them, they are at a fixed point:
     // every later full slice starts from the same bits, so it repeats
     // slice 2's whole counts.
-    replay(full);
+    replay_full();
     const Carry settled = c;
     const power2::EventCounts before = sys_total;
-    replay(full);
+    replay_full();
     replayed = 2;
     const std::uint64_t m = n_same - 2;
-    if (same_bits(c.fault_fxu, settled.fault_fxu) &&
-        same_bits(c.fault_icu, settled.fault_icu) &&
-        same_bits(c.fault_cycles, settled.fault_cycles) &&
-        same_bits(c.noise_fxu, settled.noise_fxu) &&
-        same_bits(c.noise_icu, settled.noise_icu) &&
-        DmaEngine::replay_slices(c.dma, full.traffic, per_transfer, m, io)) {
+    if (std::memcmp(&c, &settled, kResidualBytes) == 0 &&
+        (dma_closed || DmaEngine::replay_slices(c.dma, full.traffic,
+                                                per_transfer, m, io))) {
       sys_total.fxu0_inst += (sys_total.fxu0_inst - before.fxu0_inst) * m;
       sys_total.fxu1_inst += (sys_total.fxu1_inst - before.fxu1_inst) * m;
       sys_total.icu_type1 += (sys_total.icu_type1 - before.icu_type1) * m;
@@ -279,11 +288,29 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
       replayed = n_same;
     }
   }
-  for (std::uint64_t i = replayed; i < n_same; ++i) replay(full);
+  for (std::uint64_t i = replayed; i < n_same; ++i) replay_full();
   if (!rem_is_full) replay(increments(rem));
   set_carry(c);
 
+  hpm::CounterAdds sys_adds{};
   monitor_.map_events(sys_total, sys_adds);
+  // The interval repeat: a call that ends where it began on the residuals
+  // replays whole from the same inputs — the residual chain runs from the
+  // same bits, the user half is the memo's — once the DMA chains follow
+  // too: all n_same slices in closed form.  A remainder slice breaks that
+  // chain, so then only a node without DMA traffic repeats (each chain's
+  // recurrence is the identity).  dma_closed implies no paging.
+  const bool no_traffic =
+      full.traffic.read_bytes == 0.0 && full.traffic.write_bytes == 0.0;
+  if (dma_closed && (rem_is_full || no_traffic) &&
+      std::memcmp(&c, &carry_in, kResidualBytes) == 0) {
+    repeat_.valid = true;
+    repeat_.busy_seconds = sig != nullptr ? seconds : 0.0;
+    repeat_.quad = quad;
+    repeat_.dma = dma;
+    repeat_.user_adds = user_adds;
+    repeat_.sys_adds = sys_adds;
+  }
   if (io.read_transfers != 0 || io.write_transfers != 0) {
     power2::EventCounts dma_events;
     dma_events.dma_read = io.read_transfers;
@@ -293,14 +320,25 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
   monitor_.accumulate_adds(user_adds, hpm::PrivilegeMode::kUser);
   monitor_.accumulate_adds(sys_adds, hpm::PrivilegeMode::kSystem);
   ext_.accrue(monitor_, user_adds, sys_adds);
-  if (quiet) {
-    quiet_.valid = true;
-    quiet_.seconds = seconds;
-    quiet_.in = carry_in;
-    quiet_.out = c;
-    quiet_.user_adds = user_adds;
-    quiet_.sys_adds = sys_adds;
-  }
+}
+
+void Node::repeat() {
+  P2SIM_CHECK(up_ && repeat_.valid, "Node::repeat needs can_repeat()");
+  constexpr std::size_t kRead = hpm::index_of(hpm::HpmCounter::kDmaRead);
+  constexpr std::size_t kWrite = hpm::index_of(hpm::HpmCounter::kDmaWrite);
+  DmaEngine::Bytes bytes = dma_.bytes();
+  DmaEngine::Harvest io;
+  DmaEngine::step(bytes, repeat_.dma, io);
+  dma_.set_bytes(bytes);
+  // The user adds hold no DMA transfers of their own (map_events adds
+  // only dma_read/dma_write there), so the slots take this step's counts.
+  repeat_.user_adds[kRead] = io.read_transfers;
+  repeat_.user_adds[kWrite] = io.write_transfers;
+  monitor_.accumulate_adds(repeat_.user_adds, hpm::PrivilegeMode::kUser);
+  monitor_.accumulate_adds(repeat_.sys_adds, hpm::PrivilegeMode::kSystem);
+  ext_.accrue(monitor_, repeat_.user_adds, repeat_.sys_adds);
+  quad_total_ += repeat_.quad;
+  if (repeat_.busy_seconds > 0.0) busy_seconds_ += repeat_.busy_seconds;
 }
 
 Node::Carry Node::carry() const {

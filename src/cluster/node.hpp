@@ -88,6 +88,21 @@ class Node {
   /// Idle slice: only daemon-level OS noise accrues.
   P2SIM_PAR_SAFE void advance_idle(double seconds);
 
+  /// True when the last advance can be replayed whole by repeat(): it ran
+  /// the batched path without paging, both DMA chains were inside the
+  /// closed form's domain, it ended at the carry fixed point (its five
+  /// residuals bitwise where they began), and either its slices were all
+  /// full or it moved no DMA traffic.  Cleared by every other advance, by
+  /// crash() and by restore_ckpt(); never checkpointed.
+  P2SIM_PAR_SAFE bool can_repeat() const { return repeat_.valid; }
+
+  /// Replays the last advance whole, bit-identically to calling advance()
+  /// again with the same arguments — which the caller must guarantee: the
+  /// same length, signature values and profile.  The node cannot check
+  /// the signature itself (a caller may reuse one address for new rates),
+  /// so the caller decides.  Requires can_repeat(); stays repeatable.
+  P2SIM_PAR_SAFE void repeat();
+
   /// Power failure: the node drops out of service instantly.  Monitor
   /// state does not survive — the 32-bit banks, the RS2HPM 64-bit
   /// extension and the quad diagnostic all restart from zero, which is
@@ -132,6 +147,7 @@ class Node {
     w.put_f64(resid_noise_icu_);
   }
   void restore_ckpt(util::CkptReader& r) {
+    repeat_.valid = false;
     monitor_.restore_ckpt(r);
     ext_.restore_ckpt(r);
     dma_.restore_ckpt(r);
@@ -174,19 +190,15 @@ class Node {
   P2SIM_PAR_SAFE Carry carry() const;
   P2SIM_PAR_SAFE void set_carry(const Carry& c);
 
-  /// Idle reuse.  A quiet advance (no job, no traffic, no paging) is a pure
-  /// function of its length and its carry-in bits: the node config fixes
-  /// everything else.  advance_batched keeps the inputs and outputs of the
-  /// last quiet call and replays them when the next quiet call's inputs
-  /// match bit for bit — the steady state of an idle node, whose residuals
-  /// reach a fixed point after one interval when the idle noise increments
-  /// are whole counts (the default rates).  Being pure, the memo needs no
-  /// invalidation on crash or restore, and is not checkpointed.
-  struct QuietMemo {
+  /// Interval repeat (see can_repeat()): the last advance's counter adds
+  /// of both modes, its quad and busy-second increments, and its DMA
+  /// chains' recurrence, which fills the user adds' DMA slots with each
+  /// repeat's transfers.
+  struct Repeat {
     bool valid = false;
-    double seconds = 0.0;
-    Carry in{};
-    Carry out{};
+    double busy_seconds = 0.0;
+    std::uint64_t quad = 0;
+    DmaEngine::Steady dma{};
     hpm::CounterAdds user_adds{};
     hpm::CounterAdds sys_adds{};
   };
@@ -224,8 +236,8 @@ class Node {
   double resid_fault_cycles_ = 0.0;
   double resid_noise_fxu_ = 0.0;
   double resid_noise_icu_ = 0.0;
-  QuietMemo quiet_{};
   BusyMemo busy_{};
+  Repeat repeat_{};
 };
 
 }  // namespace p2sim::cluster

@@ -51,11 +51,6 @@ void PerformanceMonitor::map_events(const power2::EventCounts& ev,
   adds[index_of(HpmCounter::kDmaWrite)] += ev.dma_write;
 }
 
-void PerformanceMonitor::accumulate_adds(const CounterAdds& adds,
-                                         PrivilegeMode mode) {
-  banks_[static_cast<std::size_t>(mode)].fold_batch(adds);
-}
-
 void PerformanceMonitor::clear() {
   for (auto& b : banks_) b.clear();
 }

@@ -108,8 +108,11 @@ class PerformanceMonitor {
   /// multipass slices — per-counter totals at or above 2^32 are legal, the
   /// registers keep only the faithful mod-2^32 residue, and the caller
   /// (rs2hpm::ExtendedCounters::accrue) owns the 64-bit truth.
+  /// Inline: the interval repeat runs it once per node-interval.
   P2SIM_PAR_SAFE void accumulate_adds(const CounterAdds& adds,
-                                      PrivilegeMode mode);
+                                      PrivilegeMode mode) {
+    banks_[static_cast<std::size_t>(mode)].fold_batch(adds);
+  }
 
   P2SIM_PAR_SAFE const CounterBank& bank(PrivilegeMode mode) const {
     return banks_[static_cast<std::size_t>(mode)];

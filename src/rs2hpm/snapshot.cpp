@@ -70,25 +70,6 @@ void ExtendedCounters::sample(const hpm::PerformanceMonitor& mon) {
 #endif
 }
 
-void ExtendedCounters::accrue(const hpm::PerformanceMonitor& mon,
-                              const hpm::CounterAdds& user_adds,
-                              const hpm::CounterAdds& system_adds) {
-  P2SIM_CHECK(attached_, "ExtendedCounters::accrue requires attach()");
-  const auto& u = mon.bank(hpm::PrivilegeMode::kUser).raw();
-  const auto& s = mon.bank(hpm::PrivilegeMode::kSystem).raw();
-  for (std::size_t i = 0; i < hpm::kNumCounters; ++i) {
-    totals_.user[i] += user_adds[i];
-    totals_.system[i] += system_adds[i];
-    last_user_[i] = u[i];
-    last_system_[i] = s[i];
-  }
-  // The wrap-consistency identity catches a caller whose folded register
-  // increments disagree with the 64-bit amounts handed to us.
-#if P2SIM_CHECKS_ENABLED
-  check_wrap_consistency(mon);
-#endif
-}
-
 void ExtendedCounters::check_wrap_consistency(
     const hpm::PerformanceMonitor& mon) const {
 #if P2SIM_CHECKS_ENABLED

@@ -91,10 +91,26 @@ class ExtendedCounters {
   /// many wraps at once, and hands over the 64-bit truth.  Equivalent to
   /// interleaving sub-wrap accumulate()/sample() pairs: the totals gain the
   /// exact amounts and the sampling baseline re-anchors at the registers'
-  /// current raw values.  Requires a prior attach().
+  /// current raw values.  Requires a prior attach().  Inline: the interval
+  /// repeat runs it once per node-interval.
   P2SIM_PAR_SAFE void accrue(const hpm::PerformanceMonitor& mon,
                              const hpm::CounterAdds& user_adds,
-                             const hpm::CounterAdds& system_adds);
+                             const hpm::CounterAdds& system_adds) {
+    P2SIM_CHECK(attached_, "ExtendedCounters::accrue requires attach()");
+    const auto& u = mon.bank(hpm::PrivilegeMode::kUser).raw();
+    const auto& s = mon.bank(hpm::PrivilegeMode::kSystem).raw();
+    for (std::size_t i = 0; i < hpm::kNumCounters; ++i) {
+      totals_.user[i] += user_adds[i];
+      totals_.system[i] += system_adds[i];
+    }
+    last_user_ = u;
+    last_system_ = s;
+    // The wrap-consistency identity catches a caller whose folded register
+    // increments disagree with the 64-bit amounts handed to us.
+#if P2SIM_CHECKS_ENABLED
+    check_wrap_consistency(mon);
+#endif
+  }
 
   P2SIM_PAR_SAFE const ModeTotals& totals() const { return totals_; }
 

@@ -254,7 +254,11 @@ struct WorkloadDriver::CampaignState {
   /// phase, and the fold adds every block into block 0, which the collect
   /// post-pass then reads per horizon offset.
   std::vector<IntervalTally> tallies;
-  /// Fleet busy seconds per horizon offset, tree-folded over the lanes.
+  /// The lanes' busy seconds, row k = horizon offset k, column i = lane
+  /// i: lane i writes only column i in the lane-pipeline phase (see
+  /// lane.hpp), and the fold reads each row whole.
+  std::vector<double> lane_busy_s;
+  /// Fleet busy seconds per horizon offset, tree-folded over each row.
   std::vector<double> busy_s;
   // --- per-interval scratch (collect/observe post-pass) ------------------
   double busy_node_seconds = 0.0;
@@ -648,11 +652,14 @@ void WorkloadDriver::phase_lane_pipeline(CampaignState& st) {
       static_cast<std::size_t>(st.pool.threads()) * static_cast<std::size_t>(h),
       IntervalTally{});
   IntervalTally* tallies = st.tallies.data();
-  st.pool.run(lanes.size(), [&lanes, t0, h, interval_s, miss, tallies](
+  // Every entry is written by its lane before the fold reads it.
+  st.lane_busy_s.resize(static_cast<std::size_t>(h) * lanes.size());
+  double* busy = st.lane_busy_s.data();
+  st.pool.run(lanes.size(), [&lanes, t0, h, interval_s, miss, tallies, busy](
                                 int shard, std::size_t begin,
                                 std::size_t end) {
     run_lane_shard(lanes, begin, end, t0, h, interval_s, miss,
-                   tallies + static_cast<std::ptrdiff_t>(shard) * h);
+                   tallies + static_cast<std::ptrdiff_t>(shard) * h, busy);
   });
 }
 
@@ -663,8 +670,9 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
   auto* tel = telemetry::current();
   telemetry::Session::FoldGuard fold_guard(tel);
   // Integer tallies: add every shard's block into block 0 (wrap-add, so
-  // any order gives the same sums).  Busy seconds are doubles, so they keep
-  // the fixed pairwise tree over lanes, whatever the thread count.
+  // any order gives the same sums).  Busy seconds are doubles, so each
+  // interval's row keeps the fixed pairwise tree over lanes, whatever the
+  // thread count.
   const std::size_t h = static_cast<std::size_t>(st.horizon);
   const std::size_t lanes_n = st.lanes.size();
   for (std::size_t w = 1; w < static_cast<std::size_t>(st.pool.threads());
@@ -675,8 +683,9 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
   }
   st.busy_s.resize(h);
   for (std::size_t k = 0; k < h; ++k) {
+    const double* row = st.lane_busy_s.data() + k * lanes_n;
     st.busy_s[k] = telemetry::tree_fold(
-        lanes_n, [&st, k](std::size_t i) { return st.lanes[i].busy_s[k]; },
+        lanes_n, [row](std::size_t i) { return row[i]; },
         [](double a, double b) { return a + b; });
     // Campaign busy time accumulates per interval, ascending: the running
     // sum is the same no matter where passes break.
@@ -686,7 +695,10 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
   // tree the scrape path uses (telemetry::tree_fold_shards), folded into
   // the registry via the shard field table — the single registration site
   // for the p2sim_lane_* counters.  Counter sums are pass-split invariant.
-  // Without one nobody reads the merge; the shards are reset either way.
+  // The folded shards are reset here, under the fold guard, so a scrape
+  // never counts them twice.  Without a session nobody reads the merge or
+  // the residue: each lane resets its own shard as its next pipeline
+  // starts (NodeLane::run_pipeline), where the line is hot anyway.
   if (tel != nullptr) {
     const telemetry::MetricShard pass_shard = telemetry::tree_fold_shards(
         lanes_n, [&st](std::size_t i) -> const telemetry::MetricShard& {
@@ -696,8 +708,8 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
          telemetry::MetricShard::fields()) {
       tel->registry.counter(f.name, f.help).inc((pass_shard.*f.value)());
     }
+    for (NodeLane& lane : st.lanes) lane.shard.reset();
   }
-  for (NodeLane& lane : st.lanes) lane.shard.reset();
 }
 
 void WorkloadDriver::phase_epilogues(CampaignState& st) {

@@ -5,16 +5,18 @@
 // intervals end-to-end.  The determinism and data-race story both reduce to
 // one ownership rule: inside the parallel region a worker reads and writes
 // exactly one lane at a time — the Node with its counters, the lane's
-// private RNG stream, its read-only fault view, its telemetry shard and its
-// per-interval busy seconds — plus its own pool shard's interval tallies
-// and immutable shared inputs (configs, the job's EventSignature, this
-// horizon's LaneStep and miss bitmap).  Cross-node state (scheduler,
-// daemon, job monitor, the metrics registry, the driver's master RNG) is
-// touched only in the serial phases.  Lane outputs come back in two parts:
-// integer probe tallies, summed per shard in the region (any order gives
-// the same sums), and busy seconds, folded in a fixed pairwise tree
-// (telemetry::tree_fold).  So campaign results are bit-identical for every
-// thread count.
+// private RNG stream, its read-only fault view and its telemetry shard —
+// plus two driver-owned outputs: its own pool shard's interval tallies and
+// its own column of the pass's busy-seconds matrix (row k holds every
+// lane's busy seconds at horizon offset k; lane i writes only entry i of
+// each row) — and immutable shared inputs (configs, the job's
+// EventSignature, this horizon's LaneStep and miss bitmap).  Cross-node
+// state (scheduler, daemon, job monitor, the metrics registry, the
+// driver's master RNG) is touched only in the serial phases.  Lane outputs
+// come back in two parts: integer probe tallies, summed per shard in the
+// region (any order gives the same sums), and busy seconds, each row
+// folded serially in a fixed pairwise tree (telemetry::tree_fold).  So
+// campaign results are bit-identical for every thread count.
 //
 // RNG ownership: the lane stream is seeded from (campaign seed, node id)
 // through splitmix64 — never from the master stream, whose draw sequence
@@ -26,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/check/annotate.hpp"
@@ -105,22 +108,43 @@ class NodeLane {
 
   /// The parallel-region body: advance this lane's node through one
   /// interval according to `step`, exactly as the serial driver did —
-  /// busy seconds under the job's signature, the remainder idle.  Touches
-  /// only lane-local state.
+  /// busy seconds under the job's signature, the remainder idle.  A whole
+  /// interval (idle, or busy for all of it) whose work order equals the
+  /// previous interval's — the same signature pointer, the same activity
+  /// bits, the same length — replays that interval (Node::repeat) when
+  /// the node can.  Pointer identity is sound here, not inside Node: the
+  /// run's signature table is immutable, so one address is one signature.
+  /// Touches only lane-local state.
   P2SIM_PAR_SAFE void advance_interval(double interval_s) {
     interval_busy_s = 0.0;
     if (!node.is_up()) {
       shard.add_down();
       return;
     }
-    if (step.sig == nullptr) {
+    const bool whole = step.sig == nullptr || step.busy_s == interval_s;
+    const bool same =
+        whole && last_whole_ && step.sig == last_sig_ &&
+        interval_s == last_interval_s_ &&
+        (step.sig == nullptr ||
+         std::memcmp(&step.activity, &last_activity_,
+                     sizeof step.activity) == 0);
+    last_whole_ = whole;
+    last_sig_ = step.sig;
+    last_activity_ = step.activity;
+    last_interval_s_ = interval_s;
+    if (same && node.can_repeat()) {
+      node.repeat();
+    } else if (step.sig == nullptr) {
       node.advance_idle(interval_s);
+    } else {
+      node.advance(step.busy_s, step.sig, step.activity);
+      if (step.busy_s < interval_s) {
+        node.advance_idle(interval_s - step.busy_s);
+      }
+    }
+    if (step.sig == nullptr) {
       shard.add_idle();
       return;
-    }
-    node.advance(step.busy_s, step.sig, step.activity);
-    if (step.busy_s < interval_s) {
-      node.advance_idle(interval_s - step.busy_s);
     }
     interval_busy_s = step.busy_s;
     shard.add_busy();
@@ -130,23 +154,27 @@ class NodeLane {
   /// interval, derive the busy split from the work order, advance the
   /// node, then probe its counters exactly as the daemon's serial per-node
   /// loop did, adding the outcome to `tally[k]` (this lane's shard's
-  /// tallies) and recording the busy seconds in `busy_s[k]`.  `miss[k]`
-  /// marks horizon offset k as a whole-interval cron miss (no probe draw,
-  /// baseline kept).  Touches only lane-local state and the shard's
-  /// tallies; the horizon phase guarantees the work order holds for every
-  /// interval.
+  /// tallies) and recording the busy seconds in `busy[k * stride]` (this
+  /// lane's column of the pass's busy-seconds matrix).  `miss[k]` marks
+  /// horizon offset k as a whole-interval cron miss (no probe draw,
+  /// baseline kept).  Touches only lane-local state, the shard's tallies
+  /// and the lane's column; the horizon phase guarantees the work order
+  /// holds for every interval.  The telemetry shard starts the pass empty:
+  /// under a session the fold has just reset it (so this is a no-op a
+  /// scrape cannot see), and without one nothing reads it.
   P2SIM_PAR_SAFE void run_pipeline(std::int64_t t0, std::int64_t h,
                                    double interval_s,
                                    const std::uint8_t* miss,
-                                   IntervalTally* tally) {
-    busy_s.resize(static_cast<std::size_t>(h));
+                                   IntervalTally* tally, double* busy,
+                                   std::size_t stride) {
+    shard.reset();
     for (std::int64_t k = 0; k < h; ++k) {
       const double now = static_cast<double>(t0 + k) * interval_s;
       if (step.sig != nullptr) {
         step.busy_s = std::min(step.end_s, now + interval_s) - now;
       }
       advance_interval(interval_s);
-      busy_s[static_cast<std::size_t>(k)] = interval_busy_s;
+      busy[static_cast<std::size_t>(k) * stride] = interval_busy_s;
       if (miss[k] == 0) probe(t0 + k, tally[k]);
     }
   }
@@ -170,11 +198,27 @@ class NodeLane {
     const std::uint64_t quad = node.quad_total();
     // The guard is unconditional in every build: subtracting a baseline
     // from reset counters would wrap the uint64 deltas into astronomical
-    // garbage that no downstream check could attribute.
-    const bool monotone = probe_primed && totals.covers(probe_prev) &&
-                          quad >= probe_prev_quad;
+    // garbage that no downstream check could attribute.  covers() and
+    // since() fused, with no temporary: one pass tests, one adds the
+    // deltas (masked to zero when the guard fails) and moves the baseline.
+    std::uint64_t below = 0;
+    for (std::size_t i = 0; i < hpm::kNumCounters; ++i) {
+      below |= static_cast<std::uint64_t>(totals.user[i] <
+                                          probe_prev.user[i]) |
+               static_cast<std::uint64_t>(totals.system[i] <
+                                          probe_prev.system[i]);
+    }
+    const bool monotone =
+        probe_primed && below == 0 && quad >= probe_prev_quad;
+    const std::uint64_t keep = monotone ? ~std::uint64_t{0} : 0;
+    for (std::size_t i = 0; i < hpm::kNumCounters; ++i) {
+      tally.delta.user[i] += (totals.user[i] - probe_prev.user[i]) & keep;
+      tally.delta.system[i] +=
+          (totals.system[i] - probe_prev.system[i]) & keep;
+      probe_prev.user[i] = totals.user[i];
+      probe_prev.system[i] = totals.system[i];
+    }
     if (monotone) {
-      tally.delta += totals.since(probe_prev);
       tally.quad_surplus += quad - probe_prev_quad;
       ++tally.sampled;
     } else if (probe_primed) {
@@ -184,7 +228,6 @@ class NodeLane {
     } else {
       ++tally.newly_primed;
     }
-    probe_prev = totals;
     probe_prev_quad = quad;
     probe_primed = true;
   }
@@ -202,29 +245,39 @@ class NodeLane {
   /// Input for the current horizon (serial phases write, lane reads).
   LaneStep step;
   /// Output: busy seconds this lane contributed in the most recent
-  /// interval (also recorded per interval in `busy_s`).
+  /// interval (also recorded per interval in the busy-seconds matrix).
   double interval_busy_s = 0.0;
 
   /// Lane-owned daemon baseline (was SamplingDaemon's per-node state).
   rs2hpm::ModeTotals probe_prev;
   std::uint64_t probe_prev_quad = 0;
   bool probe_primed = true;
-  /// Output: busy seconds per horizon interval, in interval order (the
-  /// fold tree-sums them across lanes; doubles, so the shape matters).
-  std::vector<double> busy_s;
+
+ private:
+  // Repeat bookkeeping, lane-local and never checkpointed: a restored node
+  // cannot repeat until it has advanced once.
+  /// The previous interval's work order, and whether it was whole.
+  const power2::EventSignature* last_sig_ = nullptr;
+  cluster::ActivityProfile last_activity_{};
+  double last_interval_s_ = 0.0;
+  bool last_whole_ = false;
 };
 
 /// One pool shard's share of the lane-pipeline phase: drains lanes
 /// [begin, end) through the horizon, each adding its probes to the shard's
-/// own `tally[0..h)`.  No other shard writes those tallies.
+/// own `tally[0..h)` and writing its busy seconds to its own column i of
+/// the h x lanes.size() matrix `busy`.  No other shard writes those
+/// tallies or columns.
 P2SIM_PAR_SAFE inline void run_lane_shard(std::vector<NodeLane>& lanes,
                                           std::size_t begin, std::size_t end,
                                           std::int64_t t0, std::int64_t h,
                                           double interval_s,
                                           const std::uint8_t* miss,
-                                          IntervalTally* tally) {
+                                          IntervalTally* tally,
+                                          double* busy) {
   for (std::size_t i = begin; i < end; ++i) {
-    lanes[i].run_pipeline(t0, h, interval_s, miss, tally);
+    lanes[i].run_pipeline(t0, h, interval_s, miss, tally, busy + i,
+                          lanes.size());
   }
 }
 

@@ -1,8 +1,8 @@
 // The closed-form accrual path's contract: bit-identical node state to the
 // reference slice-by-slice loop, for any signature, activity profile,
 // slice length, interval length and crash/reboot sequence — including the
-// idle-reuse path, which replays a quiet advance's recorded result when its
-// length and carry-in bits match the previous quiet advance.
+// interval repeat (Node::repeat), which replays the last advance whole when
+// it ended at the carry fixed point.
 //
 // Two nodes differing only in NodeConfig::reference_accrual receive the
 // same operation stream; after every operation the full observable state —
@@ -217,6 +217,7 @@ class Pair {
     for (int i = 0; i < times; ++i) {
       fast_.advance_idle(seconds);
       ref_.advance_idle(seconds);
+      remember(seconds, nullptr, idle_profile());
       check("idle " + std::to_string(seconds));
     }
   }
@@ -224,8 +225,21 @@ class Pair {
             const ActivityProfile& act) {
     fast_.advance(seconds, &sig, act);
     ref_.advance(seconds, &sig, act);
+    remember(seconds, &sig, act);
     check("busy " + std::to_string(seconds));
   }
+  /// Replays the last advance: Node::repeat on the fast node, the same
+  /// advance() again on the reference.
+  void repeat(int times = 1) {
+    for (int i = 0; i < times; ++i) {
+      ASSERT_TRUE(fast_.can_repeat()) << "op " << ops_;
+      fast_.repeat();
+      ref_.advance(last_seconds_, last_sig_, last_act_);
+      check("repeat " + std::to_string(last_seconds_));
+      EXPECT_TRUE(fast_.can_repeat()) << "a repeat stays repeatable";
+    }
+  }
+  bool can_repeat() const { return fast_.can_repeat(); }
   /// A job-free slice that still moves traffic: not quiet, never reused.
   void idle_with_traffic(double seconds, const ActivityProfile& act) {
     ActivityProfile a = act;
@@ -234,11 +248,13 @@ class Pair {
     a.io_wait_fraction = 0.0;
     fast_.advance(seconds, nullptr, a);
     ref_.advance(seconds, nullptr, a);
+    remember(seconds, nullptr, a);
     check("traffic " + std::to_string(seconds));
   }
   void crash_reboot() {
     fast_.crash();
     ref_.crash();
+    EXPECT_FALSE(fast_.can_repeat()) << "a crash clears the repeat";
     fast_.advance_idle(900.0);  // a no-op while down, on both paths
     ref_.advance_idle(900.0);
     fast_.reboot();
@@ -254,6 +270,7 @@ class Pair {
     util::CkptReader r(w.bytes());
     restored.restore_ckpt(r);
     fast_ = restored;
+    EXPECT_FALSE(fast_.can_repeat()) << "the repeat is not checkpointed";
     check("restore");
   }
   /// Checkpoints both nodes; rewind() later restores them in place, so the
@@ -269,11 +286,19 @@ class Pair {
     util::CkptReader rr(ref_mark_.bytes());
     fast_.restore_ckpt(fr);
     ref_.restore_ckpt(rr);
+    EXPECT_FALSE(fast_.can_repeat()) << "restore_ckpt clears the repeat";
     check("rewind");
   }
   void check(const std::string& what) {
     ++ops_;
     expect_identical(fast_, ref_, "op " + std::to_string(ops_) + " " + what);
+    // The whole dynamic state, residual accumulators included.
+    util::CkptWriter fw;
+    util::CkptWriter rw;
+    fast_.save_ckpt(fw);
+    ref_.save_ckpt(rw);
+    EXPECT_EQ(fw.bytes(), rw.bytes())
+        << "op " << ops_ << " " << what << ": checkpoint bytes";
   }
 
  private:
@@ -281,8 +306,22 @@ class Pair {
     cfg.reference_accrual = reference;
     return cfg;
   }
+  static ActivityProfile idle_profile() {
+    ActivityProfile a;
+    a.compute_fraction = 0.0;
+    return a;
+  }
+  void remember(double seconds, const power2::EventSignature* sig,
+                const ActivityProfile& act) {
+    last_seconds_ = seconds;
+    last_sig_ = sig;
+    last_act_ = act;
+  }
   Node fast_;
   Node ref_;
+  double last_seconds_ = 0.0;
+  const power2::EventSignature* last_sig_ = nullptr;
+  ActivityProfile last_act_{};
   util::CkptWriter fast_mark_;
   util::CkptWriter ref_mark_;
   int ops_ = 0;
@@ -570,6 +609,235 @@ TEST(AccrualEquivalence, BusyMemoKeysOnSignatureValues) {
   p.busy(900.0, sig, act);
   p.busy(899.0, sig, act);
   p.busy(900.0, sig, act);
+}
+
+// --- the interval repeat -----------------------------------------------------
+//
+// After an advance that ends at the carry fixed point, Node::repeat replays
+// it whole: fixed counter adds plus one step of each DMA chain's integer
+// recurrence.  Each scenario checks the repeat against the reference
+// node's advance() with the same inputs, bit for bit, and that the adds
+// the repeat reports are exactly what the totals gained.
+
+TEST(AccrualEquivalence, RepeatIdle) {
+  struct Case {
+    const char* what;
+    NodeConfig cfg;
+    double seconds;
+    bool settles;  // the idle residuals reach a fixed point
+  };
+  const Case cases[] = {
+      {"15-minute intervals of 50 s slices", NodeConfig{}, 900.0, true},
+      // A remainder slice: the DMA state does not move, so an interval
+      // that ends where it began on the residuals repeats as well.
+      {"a remainder slice", NodeConfig{}, 325.0, true},
+      {"45 s slices", NodeConfig{.max_sample_slice_s = 45.0}, 900.0, true},
+      // Idle increments that are not whole counts: the residuals keep
+      // moving, so the node never offers the repeat.
+      {"37.7 s slices", NodeConfig{.max_sample_slice_s = 37.7}, 900.0, false},
+      {"fractional noise",
+       NodeConfig{.os_noise_fxu_per_s = 151234.567,
+                  .os_noise_icu_per_s = 40321.123},
+       900.0, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    util::Xoshiro256StarStar rng(0x4E91);
+    const power2::EventSignature sig = random_signature(rng);
+    Pair p(c.cfg);
+    const auto idle_run = [&] {
+      // Advance until the node can repeat, as a lane would, then repeat.
+      for (int i = 0; i < 4 && !p.can_repeat(); ++i) p.idle(c.seconds);
+      EXPECT_EQ(p.can_repeat(), c.settles);
+      if (p.can_repeat()) p.repeat(6);
+    };
+    p.idle(c.seconds);
+    idle_run();
+    p.busy(900.0, sig, steady_profile(rng));
+    p.idle(c.seconds);
+    idle_run();
+    p.crash_reboot();
+    p.idle(c.seconds);
+    idle_run();
+    p.restore_fast();
+    p.idle(c.seconds);
+    idle_run();
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+void repeat_busy_scenarios(const NodeConfig& cfg, std::uint64_t seed) {
+  util::Xoshiro256StarStar rng(seed);
+  const power2::EventSignature sig = random_signature(rng);
+  Pair p(cfg);
+  for (int round = 0; round < 6 && !testing::Test::HasFailure(); ++round) {
+    const ActivityProfile act = steady_profile(rng);
+    // The first interval leaves the idle residuals behind, the second
+    // starts settled: from then on every interval is a repeat.
+    p.busy(900.0, sig, act);
+    p.busy(900.0, sig, act);
+    p.repeat(12);
+    // A mix change (an NFS grant change) advances normally from a settled
+    // carry, and is repeatable at once.
+    ActivityProfile regrant = act;
+    regrant.disk_read_bytes_per_s *= 0.5;
+    p.busy(900.0, sig, regrant);
+    p.repeat(3);
+    // A paging interval is never repeatable.
+    ActivityProfile paging = act;
+    paging.page_faults_per_s = 2.0;
+    p.busy(900.0, sig, paging);
+    EXPECT_FALSE(p.can_repeat());
+    p.busy(900.0, sig, act);
+    p.busy(900.0, sig, act);
+    p.repeat(2);
+    // A remainder slice breaks the closed form's chain of full slices:
+    // with DMA traffic, an interval that has one never repeats, even when
+    // its residuals end where they began.
+    p.busy(910.0, sig, act);
+    p.busy(910.0, sig, act);
+    EXPECT_FALSE(p.can_repeat());
+    // A job-end partial interval, then idle.
+    p.busy(rng.uniform(1.0, 899.0), sig, act);
+    p.idle(900.0, 2);
+    p.repeat(2);
+  }
+  // Crash, restore and rewind between repeats.
+  const ActivityProfile act = steady_profile(rng);
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, act);
+  p.repeat(2);
+  p.crash_reboot();
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, act);
+  p.repeat(2);
+  p.restore_fast();
+  p.busy(900.0, sig, act);
+  p.repeat(2);
+  p.mark();
+  p.repeat(3);
+  p.rewind();
+  p.busy(900.0, sig, act);
+  p.repeat(3);
+}
+
+TEST(AccrualEquivalence, RepeatSteadyBusyDefaultConfig) {
+  repeat_busy_scenarios(NodeConfig{}, 0x4E92);
+}
+
+// A busy interval that starts off the recorded fixed point: an idle
+// remainder slice leaves a fractional noise residual, which the next busy
+// interval's first slice rounds onto the grid of its whole increments.
+// The node must replay slices 1-2 there and repeat only once the
+// residuals settle.
+TEST(AccrualEquivalence, RepeatAfterFractionalResidual) {
+  util::Xoshiro256StarStar rng(0x4E97);
+  const power2::EventSignature sig = random_signature(rng);
+  const ActivityProfile act = steady_profile(rng);
+  Pair p(NodeConfig{});
+  p.busy(900.0, sig, act);
+  p.busy(900.0, sig, act);
+  p.repeat(2);
+  for (double tail : {333.3, 12.345, 0.1}) {
+    p.idle(tail);
+    p.busy(900.0, sig, act);
+    for (int i = 0; i < 3 && !p.can_repeat(); ++i) p.busy(900.0, sig, act);
+    p.repeat(3);
+  }
+}
+
+TEST(AccrualEquivalence, RepeatSteadyBusyWaitStateSelection) {
+  NodeConfig cfg;
+  cfg.monitor.selection = hpm::CounterSelection::kWaitStates;
+  cfg.dma.eight_word_fraction = 1.0;
+  repeat_busy_scenarios(cfg, 0x4E93);
+}
+
+// The DMA domain's edges, as in SteadyBusyDmaEdges, now across whole
+// intervals: 28 slices of 32 s, so the recurrence steps 28 slices a time.
+TEST(AccrualEquivalence, RepeatDmaEdges) {
+  NodeConfig cfg;
+  cfg.max_sample_slice_s = 32.0;
+  const double per = cfg.dma.avg_transfer_bytes();  // 48
+  const double interval = 32.0 * 28;
+  util::Xoshiro256StarStar rng(0x4E94);
+  const power2::EventSignature sig = random_signature(rng);
+  const auto rate = [](double bytes_per_slice) { return bytes_per_slice / 32; };
+  const double g24 = std::ldexp(1.0, -28);  // ulp of [2^24, 2^25)
+  const double g25 = std::ldexp(1.0, -27);  // ulp of [2^25, 2^26)
+  struct Edge {
+    const char* what;
+    double read;   // bytes per slice, memory -> device
+    double write;  // bytes per slice, device -> memory
+    bool repeats;  // inside the closed form's domain
+  };
+  const Edge edges[] = {
+      {"at the binade guard", std::ldexp(1.0, 25) - 4 * per,
+       std::ldexp(1.0, 25) - 4 * per, true},
+      {"one step past the guard", std::ldexp(1.0, 25) - 4 * per + g24,
+       std::ldexp(1.0, 25) - 4 * per + g24, false},
+      {"residual one grid step below a transfer",
+       3 * std::ldexp(1.0, 24) - g25, 3 * std::ldexp(1.0, 24) - 2 * g25,
+       true},
+      {"less than a transfer per slice", 20.0, 47.0, false},
+      {"exactly one transfer per slice", 48.0, 48.0, false},
+      {"one idle direction", 5e7, 0.0, true},
+      {"both directions idle", 0.0, 0.0, true},
+  };
+  for (const Edge& e : edges) {
+    SCOPED_TRACE(e.what);
+    Pair p(cfg);
+    ActivityProfile act;
+    act.compute_fraction = 0.6;
+    act.comm_send_bytes_per_s = rate(e.read);
+    act.comm_recv_bytes_per_s = rate(e.write);
+    p.busy(interval, sig, act);
+    p.busy(interval, sig, act);
+    EXPECT_EQ(p.can_repeat(), e.repeats);
+    if (e.repeats) p.repeat(40);
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+// A direction with no bytes keeps whatever residual the job before left
+// in it: each repeat leaves it bitwise alone while the other direction
+// steps.
+TEST(AccrualEquivalence, RepeatWithOneIdleDirection) {
+  util::Xoshiro256StarStar rng(0x4E95);
+  const power2::EventSignature sig = random_signature(rng);
+  Pair p(NodeConfig{});
+  ActivityProfile both = steady_profile(rng);
+  p.busy(900.0, sig, both);
+  ActivityProfile reads_only = both;
+  reads_only.comm_recv_bytes_per_s = 0.0;
+  reads_only.disk_read_bytes_per_s = 0.0;
+  p.busy(900.0, sig, reads_only);
+  p.busy(900.0, sig, reads_only);
+  p.repeat(10);
+  ActivityProfile writes_only = both;
+  writes_only.comm_send_bytes_per_s = 0.0;
+  writes_only.disk_write_bytes_per_s = 0.0;
+  p.busy(900.0, sig, writes_only);
+  p.repeat(10);
+}
+
+// A transfer size off the grid of any slice's bytes (eight_word_fraction
+// = 0.3 gives 41.6 bytes) puts every busy DMA chain outside the domain:
+// the node never offers the repeat, and the normal path keeps matching.
+TEST(AccrualEquivalence, RepeatDeclinesNonIntegerTransferSize) {
+  NodeConfig cfg;
+  cfg.dma.eight_word_fraction = 0.3;
+  util::Xoshiro256StarStar rng(0x4E96);
+  const power2::EventSignature sig = random_signature(rng);
+  Pair p(cfg);
+  const ActivityProfile act = steady_profile(rng);
+  for (int i = 0; i < 6; ++i) {
+    p.busy(900.0, sig, act);
+    EXPECT_FALSE(p.can_repeat()) << "interval " << i;
+  }
+  // Without traffic the chains are the identity, so idle still repeats.
+  p.idle(900.0, 2);
+  p.repeat(3);
 }
 
 }  // namespace

@@ -208,5 +208,74 @@ TEST(DmaEngine, ReplaySlicesDeclinesOutsideItsDomain) {
   EXPECT_TRUE(closed_form_matches_loop(b, 5e7, 5e7, per, 0));
 }
 
+// The interval repeat's recurrence: steady() sets up m slices once, and
+// every step() must land where m more replay_slice calls land, bit for bit
+// — pending bytes, lifetime totals and transfers — for as many steps as
+// the chain runs.  A declined setup leaves nothing to step.
+TEST(DmaEngine, SteadyStepsMatchLoop) {
+  util::Xoshiro256StarStar rng(0xD3B);
+  int stepped = 0;
+  for (double frac : {0.0, 0.25, 0.3, 0.5, 0.75, 1.0}) {
+    const double per = DmaConfig{.eight_word_fraction = frac}
+                           .avg_transfer_bytes();
+    for (int t = 0; t < 300 && !testing::Test::HasFailure(); ++t) {
+      // Whole-byte slices half the time (the campaign's rates times whole
+      // seconds), arbitrary doubles otherwise; sometimes a direction idles.
+      const auto bytes = [&rng] {
+        const double b = rng.uniform(0.0, 2e8);
+        switch (rng.below(4)) {
+          case 0:
+            return 0.0;
+          case 1:
+            return b;
+          default:
+            return std::floor(b);
+        }
+      };
+      const DmaEngine::SliceTraffic s{0.0, bytes(), bytes()};
+      DmaEngine::Bytes b = pending(std::floor(rng.uniform(0.0, per)));
+      DmaEngine::Harvest ignored;
+      for (std::uint64_t w = rng.below(3); w > 0; --w) {
+        DmaEngine::replay_slice(b, s, per, ignored);
+      }
+      const std::uint64_t m = 1 + rng.below(40);
+      DmaEngine::Steady st;
+      if (!DmaEngine::steady(b, s, per, m, st)) continue;
+      DmaEngine::Bytes loop = b;
+      DmaEngine::Bytes fast = b;
+      for (int k = 0; k < 25; ++k) {
+        DmaEngine::Harvest loop_h;
+        for (std::uint64_t i = 0; i < m; ++i) {
+          DmaEngine::replay_slice(loop, s, per, loop_h);
+        }
+        DmaEngine::Harvest fast_h;
+        DmaEngine::step(fast, st, fast_h);
+        expect_same_bytes(fast, loop);
+        EXPECT_EQ(fast_h.read_transfers, loop_h.read_transfers);
+        EXPECT_EQ(fast_h.write_transfers, loop_h.write_transfers);
+        if (testing::Test::HasFailure()) return;
+      }
+      ++stepped;
+    }
+  }
+  // Most whole-byte chains over integer transfer sizes are in the domain.
+  EXPECT_GT(stepped, 500);
+}
+
+TEST(DmaEngine, SteadyDeclinesWhatReplaySlicesDeclines) {
+  const double per = 48.0;
+  DmaEngine::Steady st;
+  // Paging, a slice under one transfer, a transfer size off the grid.
+  EXPECT_FALSE(DmaEngine::steady(pending(3.0), {4096.0, 5e7, 5e7}, per, 10,
+                                 st));
+  EXPECT_FALSE(DmaEngine::steady(pending(3.0), {0.0, 20.0, 5e7}, per, 10,
+                                 st));
+  const double odd = DmaConfig{.eight_word_fraction = 0.3}.avg_transfer_bytes();
+  EXPECT_FALSE(DmaEngine::steady(pending(1.0), {0.0, 5e7, 5e7}, odd, 10, st));
+  // An idle direction holding a whole transfer is not the identity.
+  EXPECT_FALSE(DmaEngine::steady({12.0, 96.0, 7.0, 9.0}, {0.0, 5e7, 0.0},
+                                 per, 10, st));
+}
+
 }  // namespace
 }  // namespace p2sim::cluster
